@@ -16,7 +16,6 @@ Schema (all keys optional except master_seed):
     fl_lr: 0.05
     estimator_lr: 0.05
     estimator_epochs: 5000
-    clamp_eps: 1.0e-6
     num_buckets: 20
     const_bid: 0.5
     rand_max: 1.0
@@ -25,7 +24,10 @@ Schema (all keys optional except master_seed):
     agents:                     # optional; defaults to the six-agent lineup
       - {name: fbs, strategy: fbs, form: simple}
 
-Unknown keys are rejected (with a closest-match suggestion).
+Unknown keys are rejected (with a closest-match suggestion).  The clamp
+floor on 1 + theta.q is estimator.CLAMP_EPS (1e-6), not a key.  Each
+agent's bootstrap history is one structured array (q, bid, won, utility)
+of bootstrap_rounds * pool_size rows.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ class RunConfig:
     fl_lr: float = 0.05
     estimator_lr: float = 0.05
     estimator_epochs: int = 5000
-    clamp_eps: float = 1e-6
     num_buckets: int = 20
     const_bid: float = 0.5
     rand_max: float = 1.0

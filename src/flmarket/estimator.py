@@ -8,8 +8,7 @@ full-batch gradient descent on a squared-error loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,95 +24,71 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
+# floor on 1 + theta.q, so the log stays finite
+CLAMP_EPS = 1e-6
+
+
 @dataclass
 class EstimatorParams:
     learning_rate: float = 0.05
     epochs: int = 5000
-    clamp_eps: float = 1e-6
 
 
-@dataclass
-class HistoryRecord:
-    """Outcome of one past auction from a single consumer's point of view."""
+def predict(theta: np.ndarray, q: np.ndarray):
+    """s = ln(max(1 + theta.q, CLAMP_EPS)).
 
-    features: np.ndarray
-    bid: float
-    won: bool
-    clearing_price: float = 0.0
-    realized_utility: Optional[float] = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if not self.won and self.realized_utility is not None:
-            raise ValueError("realized utility is observed only for won auctions")
-
-
-def predict(theta: np.ndarray, q: np.ndarray, clamp_eps: float = 1e-6) -> float:
-    """s = ln(max(1 + theta.q, clamp_eps))."""
+    ``q`` is one feature row (returns a float) or a matrix with one row
+    per request (returns an array).
+    """
     theta = np.asarray(theta, dtype=float)
     q = np.asarray(q, dtype=float)
-    if theta.shape != q.shape:
+    if q.shape[-1:] != theta.shape:
         raise ValueError(f"dimension mismatch: theta {theta.shape} vs q {q.shape}")
-    return float(np.log(max(1.0 + float(theta @ q), clamp_eps)))
+    if q.ndim == 1:
+        return float(np.log(max(1.0 + float(theta @ q), CLAMP_EPS)))
+    return np.log(np.maximum(1.0 + q @ theta, CLAMP_EPS))
 
 
-def _stack(history: Sequence[HistoryRecord]):
-    if len(history) == 0:
-        raise ValueError("history is empty; need at least one won record")
-    Q = np.stack([r.features for r in history])
-    y = np.array([r.realized_utility for r in history], dtype=float)
-    return Q, y
-
-
-def _loss_arrays(theta, Q, y, clamp_eps):
-    z = np.maximum(1.0 + Q @ theta, clamp_eps)
+def loss(theta: np.ndarray, Q: np.ndarray, y: np.ndarray) -> float:
+    """Squared-error loss 0.5 * sum (y_m - s(q_m))^2 over won records."""
+    z = np.maximum(1.0 + Q @ theta, CLAMP_EPS)
     return 0.5 * float(np.sum((y - np.log(z)) ** 2))
 
 
-def _gradient_arrays(theta, Q, y, clamp_eps):
-    z = np.maximum(1.0 + Q @ theta, clamp_eps)
+def gradient(theta: np.ndarray, Q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Analytic gradient: sum [ln(1+theta.q) - y] q / (1 + theta.q)."""
+    z = np.maximum(1.0 + Q @ theta, CLAMP_EPS)
     return ((np.log(z) - y) / z) @ Q
 
 
-def loss(theta: np.ndarray, history: Sequence[HistoryRecord], clamp_eps: float = 1e-6) -> float:
-    """Squared-error loss 0.5 * sum (y_m - s(q_m))^2 over won records."""
-    Q, y = _stack(history)
-    return _loss_arrays(np.asarray(theta, dtype=float), Q, y, clamp_eps)
-
-
-def gradient(theta: np.ndarray, history: Sequence[HistoryRecord], clamp_eps: float = 1e-6) -> np.ndarray:
-    """Analytic gradient: sum [ln(1+theta.q) - y] q / (1 + theta.q)."""
-    Q, y = _stack(history)
-    return _gradient_arrays(np.asarray(theta, dtype=float), Q, y, clamp_eps)
-
-
-def _project(theta, Q, clamp_eps):
+def _project(theta, Q):
     # scale theta down by the smallest factor restoring 1 + theta.q >= eps
     dots = Q @ theta
     m = dots.min()
-    if 1.0 + m < clamp_eps:
-        return theta * ((clamp_eps - 1.0) / m), True
+    if 1.0 + m < CLAMP_EPS:
+        return theta * ((CLAMP_EPS - 1.0) / m), True
     return theta, False
 
 
-def fit(history: Sequence[HistoryRecord], params: EstimatorParams) -> np.ndarray:
-    """Full-batch gradient descent from theta = 0.
+def fit(Q: np.ndarray, y: np.ndarray, params: EstimatorParams) -> np.ndarray:
+    """Full-batch gradient descent from theta = 0 on won records (Q, y).
 
-    After every step theta is projected so that 1 + theta.q stays above
-    the clamp floor on the training set.  Raises DivergenceError if the
-    loss increases for 10 consecutive steps.
+    ``Q`` holds one feature row per record and ``y`` its realized
+    utility.  After every step theta is projected so that 1 + theta.q
+    stays above the clamp floor on the training set.  Raises
+    DivergenceError if the loss increases for 10 consecutive steps.
     """
-    Q, y = _stack(history)
+    if len(y) == 0:
+        raise ValueError("history is empty; need at least one won record")
     theta = np.zeros(Q.shape[1])
     if params.epochs == 0:
         return theta
-    eps = params.clamp_eps
-    prev = _loss_arrays(theta, Q, y, eps)
+    prev = loss(theta, Q, y)
     bad = 0
     for step in range(params.epochs):
-        theta = theta - params.learning_rate * _gradient_arrays(theta, Q, y, eps)
-        theta, projected = _project(theta, Q, eps)
-        cur = _loss_arrays(theta, Q, y, eps)
+        theta = theta - params.learning_rate * gradient(theta, Q, y)
+        theta, projected = _project(theta, Q)
+        cur = loss(theta, Q, y)
         # a step pinned to the clamp floor without improving counts as
         # divergent too: the iterate overshot and is stuck
         if cur > prev or (projected and cur >= prev):
@@ -123,7 +98,7 @@ def fit(history: Sequence[HistoryRecord], params: EstimatorParams) -> np.ndarray
         else:
             bad = 0
         prev = cur
-    if prev > _loss_arrays(np.zeros_like(theta), Q, y, eps):
+    if prev > loss(np.zeros_like(theta), Q, y):
         # overshot into a worse basin than the starting point
         raise DivergenceError(params.epochs - 1)
     return theta
@@ -143,7 +118,7 @@ def true_utility(owner) -> float:
     return g * float(np.log1p(owner.num_samples / 1000.0))
 
 
-def fit_with_backoff(history, params: EstimatorParams, max_retries: int = 8):
+def fit_with_backoff(Q, y, params: EstimatorParams, max_retries: int = 8):
     """Fit, quartering the learning rate on divergence.
 
     Returns (theta, params actually used).  Large histories make the
@@ -152,8 +127,8 @@ def fit_with_backoff(history, params: EstimatorParams, max_retries: int = 8):
     lr = params.learning_rate
     for _ in range(max_retries):
         try:
-            trial = EstimatorParams(lr, params.epochs, params.clamp_eps)
-            return fit(history, trial), trial
+            trial = EstimatorParams(lr, params.epochs)
+            return fit(Q, y, trial), trial
         except DivergenceError:
             lr /= 4.0
     raise DivergenceError(-1)

@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import estimator, fltrain, winmodel
-from .config import AgentSpec, RunConfig
-from .estimator import EstimatorParams, HistoryRecord
+from .config import RunConfig, echo_config
+from .estimator import EstimatorParams
 from .market import (
     ConfigurationError,
     ConsumerAgent,
@@ -39,11 +39,13 @@ from .market import (
 from .strategies import LambdaSolution, Strategy, StrategyParams, solve_lambda
 from .winmodel import WinningFunctionModel, calibrate_c, empirical_win_curve
 
-MARKET_CSV_SCHEMA_VERSION = 1
-SUMMARY_CSV_SCHEMA_VERSION = 1
-
 _NEEDS_THETA = (Strategy.BMUB, Strategy.LIN, Strategy.FBS, Strategy.FBC)
 _CLOSED_FORM = (Strategy.FBS, Strategy.FBC)
+
+# One row per auction an agent bid in; utility is NaN where it lost.
+HISTORY_DTYPE = np.dtype(
+    [("q", float, 3), ("bid", float), ("won", bool), ("utility", float)]
+)
 
 
 @dataclass
@@ -53,7 +55,7 @@ class AgentCalibration:
     estimator_lr: Optional[float] = None
     win_model: Optional[WinningFunctionModel] = None
     lambda_solution: Optional[LambdaSolution] = None
-    history: list = None  # type: ignore[assignment]
+    history: Optional[np.ndarray] = None  # HISTORY_DTYPE rows
 
 
 @dataclass
@@ -65,7 +67,6 @@ class RunArtifacts:
     market_csv: Path
     summary_csv: Path
     calibration_report: Path
-    accuracy: dict  # agent name -> float | None
 
 
 def _strategy_params(cfg: RunConfig) -> StrategyParams:
@@ -87,52 +88,49 @@ def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
             + ", ".join(a.name for a in needy)
         )
     params = _strategy_params(cfg)
-    histories = {a.name: [] for a in cfg.agents}
-    owners = {o.id: o for o in pool}
-    for _ in range(cfg.bootstrap_rounds):
+    names = [a.name for a in cfg.agents]
+    n = len(pool)
+    histories = {name: np.empty(cfg.bootstrap_rounds * n, HISTORY_DTYPE) for name in names}
+    utility = {o.id: estimator.true_utility(o) for o in pool}
+    for r in range(cfg.bootstrap_rounds):
         boot_agents = [
-            ConsumerAgent(
-                name=a.name, strategy=Strategy.RAND, budget=math.inf, params=params
-            )
-            for a in cfg.agents
+            ConsumerAgent(name=name, strategy=Strategy.RAND, budget=math.inf, params=params)
+            for name in names
         ]
-        result = run_market(boot_agents, pool, rng.spawn(1)[0])
-        for outcome in result.outcomes:
-            owner = owners[outcome.request.owner_id]
-            for name, bid in outcome.bids.items():
-                won = outcome.winner == name
-                histories[name].append(
-                    HistoryRecord(
-                        features=outcome.request.features,
-                        bid=bid,
-                        won=won,
-                        clearing_price=outcome.clearing_price if won else 0.0,
-                        realized_utility=estimator.true_utility(owner) if won else None,
-                    )
-                )
+        outcomes = run_market(boot_agents, pool, rng.spawn(1)[0]).outcomes
+        # every agent bids in every auction: budgets are unlimited
+        Q = np.stack([o.request.features for o in outcomes])
+        bids = np.array([[o.bids[name] for name in names] for o in outcomes])
+        winner = np.array([o.winner for o in outcomes], dtype=object)
+        u = np.array([utility[o.request.owner_id] for o in outcomes])
+        for j, name in enumerate(names):
+            rows = histories[name][r * n : (r + 1) * n]
+            rows["q"] = Q
+            rows["bid"] = bids[:, j]
+            rows["won"] = winner == name
+            rows["utility"] = np.where(rows["won"], u, np.nan)
 
     calibration = {}
-    est_params = EstimatorParams(cfg.estimator_lr, cfg.estimator_epochs, cfg.clamp_eps)
+    est_params = EstimatorParams(cfg.estimator_lr, cfg.estimator_epochs)
     for spec in cfg.agents:
-        cal = AgentCalibration(history=histories[spec.name])
+        history = histories[spec.name]
+        cal = AgentCalibration(history=history)
         if spec.strategy in _NEEDS_THETA:
-            won = [r for r in cal.history if r.won]
-            if not won:
+            won = history[history["won"]]
+            if len(won) == 0:
                 raise ConfigurationError(
                     f"agent {spec.name} won no bootstrap auctions; "
                     "increase bootstrap_rounds or rand_max"
                 )
-            cal.theta, used = estimator.fit_with_backoff(won, est_params)
-            cal.estimator_loss = estimator.loss(cal.theta, won, cfg.clamp_eps)
+            Q, y = np.ascontiguousarray(won["q"]), won["utility"]
+            cal.theta, used = estimator.fit_with_backoff(Q, y, est_params)
+            cal.estimator_loss = estimator.loss(cal.theta, Q, y)
             cal.estimator_lr = used.learning_rate
         if spec.strategy in _CLOSED_FORM:
-            curve = empirical_win_curve(cal.history, cfg.num_buckets)
+            curve = empirical_win_curve(history["bid"], history["won"], cfg.num_buckets)
             c = calibrate_c(curve, spec.form)
             cal.win_model = WinningFunctionModel(spec.form, c)
-            samples = [
-                estimator.predict(cal.theta, r.features, cfg.clamp_eps)
-                for r in cal.history
-            ]
+            samples = estimator.predict(cal.theta, np.ascontiguousarray(history["q"]))
             cal.lambda_solution = solve_lambda(
                 samples, cal.win_model, cfg.scaled_budget(spec), cfg.pool_size
             )
@@ -299,7 +297,7 @@ def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifa
     pool = generate_do_pool(cfg.pool_size, cfg.sample_range, pool_rng)
     calibration = bootstrap_history(cfg, pool, boot_rng)
     agents = build_market_agents(cfg, calibration)
-    result = run_market(agents, pool, market_rng, seed=cfg.master_seed)
+    result = run_market(agents, pool, market_rng)
     metrics = compute_metrics(result)
     do_fl = cfg.train_fl if train_fl is None else train_fl
     accuracy = (
@@ -317,8 +315,6 @@ def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifa
     write_market_csv(market_csv, cfg, pool, result)
     write_summary_csv(summary_csv, cfg, metrics, accuracy)
     write_calibration_report(calibration_report, cfg, calibration)
-    from .config import echo_config
-
     (out / f"config_echo_{tag}.json").write_text(
         json.dumps(echo_config(cfg), indent=2, sort_keys=True) + "\n"
     )
@@ -330,7 +326,6 @@ def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifa
         market_csv=market_csv,
         summary_csv=summary_csv,
         calibration_report=calibration_report,
-        accuracy=accuracy,
     )
 
 
@@ -399,6 +394,7 @@ def emit_plots(artifacts_dir, out_dir=None) -> list:
     if not rows:
         print("no summary rows found; no charts emitted")
         return []
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     written = []
     by_key = {}

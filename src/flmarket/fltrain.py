@@ -3,14 +3,11 @@
 Each owner holds a synthetic Gaussian-blob dataset (blurred owners get
 uniform label noise).  Every owner trains a softmax-regression model
 locally; the consumer aggregates with sample-weighted FedAvg and is
-scored by test-set accuracy.  IDX-format image files (the MNIST binary
-container) can be ingested for a real-data smoke run with the same
-model.
+scored by test-set accuracy.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,10 +20,6 @@ FEATURE_DIM = 8
 # moderate class overlap: accuracy sits below ceiling so data quality
 # and cohort composition show up in the final score
 CENTER_SPREAD = 1.5
-
-
-class IdxFormatError(ValueError):
-    pass
 
 
 @dataclass
@@ -141,42 +134,3 @@ def evaluate(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> f
     preds = np.argmax(_augment(features) @ weights.T, axis=1)
     return float(np.mean(preds == labels))
 
-
-_IDX_IMAGE_MAGIC = 0x00000803
-_IDX_LABEL_MAGIC = 0x00000801
-
-
-def _read_idx(path, expected_magic: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4:
-        raise IdxFormatError(f"{path}: file too short for a magic number")
-    (magic,) = struct.unpack(">I", blob[:4])
-    if magic != expected_magic:
-        raise IdxFormatError(
-            f"{path}: bad magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-        )
-    ndim = magic & 0xFF
-    header = 4 + 4 * ndim
-    if len(blob) < header:
-        raise IdxFormatError(f"{path}: truncated dimension header")
-    dims = struct.unpack(f">{ndim}I", blob[4:header])
-    expected = int(np.prod(dims))
-    body = blob[header:]
-    if len(body) != expected:
-        raise IdxFormatError(
-            f"{path}: expected {expected} data bytes, found {len(body)}"
-        )
-    return np.frombuffer(body, dtype=np.uint8).reshape(dims)
-
-
-def load_idx(images_path, labels_path) -> LocalDataset:
-    """Parse an IDX image/label file pair; pixels scaled to [0, 1]."""
-    images = _read_idx(images_path, _IDX_IMAGE_MAGIC)
-    labels = _read_idx(labels_path, _IDX_LABEL_MAGIC)
-    if images.shape[0] != labels.shape[0]:
-        raise IdxFormatError(
-            f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}"
-        )
-    X = images.reshape(images.shape[0], -1).astype(float) / 255.0
-    return LocalDataset(features=X, labels=labels.astype(int), owner_id=0)

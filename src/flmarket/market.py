@@ -89,7 +89,6 @@ class MarketResult:
     wins: dict  # agent name -> list[AuctionOutcome]
     spend: dict  # agent name -> float
     samples: dict  # agent name -> int
-    seed: Optional[int] = None
 
 
 @dataclass
@@ -170,7 +169,6 @@ def run_market(
     agents: Sequence[ConsumerAgent],
     pool: Sequence[DataOwner],
     rng: np.random.Generator,
-    seed: Optional[int] = None,
 ) -> MarketResult:
     """Run one sealed-bid market over the full request stream.
 
@@ -208,7 +206,7 @@ def run_market(
             wins[winner.name].append(outcome)
             spend[winner.name] += outcome.clearing_price
             samples[winner.name] += owners[request.owner_id].num_samples
-    return MarketResult(outcomes, names, wins, spend, samples, seed)
+    return MarketResult(outcomes, names, wins, spend, samples)
 
 
 def compute_metrics(result: MarketResult) -> MetricsReport:

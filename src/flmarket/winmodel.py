@@ -7,8 +7,8 @@ its own bid.  Two one-parameter families are supported:
 * ``complex``: W(b) = b^2 / (c^2 + b^2)
 
 Both satisfy W(0) = 0, W(c) = 0.5 and sup W = 1.  The constant ``c`` is
-calibrated against an empirical win-rate curve built from historical
-bid/outcome records.
+calibrated against an empirical win-rate curve built from the consumer's
+past bids and whether each one won.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class WinCurveBucket:
     count: int
 
 
-WinCurve = list
-
-
 def win_prob(model: WinningFunctionModel, b):
     """Win probability at bid ``b`` (scalar or array). Requires b >= 0."""
     b = np.asarray(b, dtype=float)
@@ -76,18 +73,18 @@ def win_prob_derivative(model: WinningFunctionModel, b):
     return float(d) if d.ndim == 0 else d
 
 
-def empirical_win_curve(records: Sequence, num_buckets: int = 20) -> list[WinCurveBucket]:
-    """Bucket historical (bid, won) records into an empirical win-rate curve.
+def empirical_win_curve(bids, won, num_buckets: int = 20) -> list[WinCurveBucket]:
+    """Bucket past bids and their outcomes into an empirical win-rate curve.
 
+    ``bids`` and ``won`` are equal-length arrays, one entry per auction.
     Equal-width bid buckets over [0, max bid]; empty buckets are omitted.
-    ``records`` need only expose ``.bid`` and ``.won``.
     """
-    if len(records) == 0:
+    bids = np.asarray(bids, dtype=float)
+    wins = np.asarray(won, dtype=float)
+    if len(bids) == 0:
         raise InsufficientDataError("no records to build a win curve from")
     if num_buckets < 2:
         raise ValueError("num_buckets must be >= 2")
-    bids = np.array([r.bid for r in records], dtype=float)
-    wins = np.array([1.0 if r.won else 0.0 for r in records])
     hi = bids.max()
     if hi <= 0:
         raise InsufficientDataError("all historical bids are zero")

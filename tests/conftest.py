@@ -16,20 +16,24 @@ def central_difference(f, x, h=1e-6):
 
 
 def make_history(theta_star, num_records, rng, feature_scale=1.0):
-    """Won records labeled by a known parameter vector."""
-    records = []
-    for _ in range(num_records):
-        q = np.array([1.0, rng.uniform(0, feature_scale), rng.uniform(0, feature_scale)])
-        records.append(
-            est.HistoryRecord(
-                features=q,
-                bid=0.5,
-                won=True,
-                clearing_price=0.5,
-                realized_utility=est.predict(np.asarray(theta_star, dtype=float), q),
-            )
-        )
-    return records
+    """Won records (Q, y) labeled by a known parameter vector."""
+    Q = np.ones((num_records, 3))
+    Q[:, 1:] = rng.uniform(0, feature_scale, (num_records, 2))
+    return Q, est.predict(np.asarray(theta_star, dtype=float), Q)
+
+
+def assert_matches_row_predict(theta, Q, s):
+    """Matrix predict equals per-row predict up to the rounding of theta.q.
+
+    The two sum theta.q in different orders.  Each is within 1.5 eps *
+    sum |theta_i q_i| of the exact dot product, the log turns an error dz
+    in z = 1 + theta.q into dz / z, and each log rounds once more.
+    """
+    eps = np.finfo(float).eps
+    rows = np.array([est.predict(theta, q) for q in Q])
+    z = np.exp(rows)
+    bound = eps * (3.0 * (np.abs(Q) @ np.abs(theta)) + z) / z + eps * np.abs(rows)
+    assert np.all(np.abs(s - rows) <= bound)
 
 
 @pytest.fixture

@@ -75,12 +75,12 @@ def test_criterion_4_gradient_vs_finite_differences():
     worst = 0.0
     checked = 0
     while checked < 100:
-        recs = make_history(rng.uniform(-0.2, 0.5, 3), int(rng.integers(1, 10)), rng)
+        Q, y = make_history(rng.uniform(-0.2, 0.5, 3), int(rng.integers(1, 10)), rng)
         theta = rng.uniform(-0.3, 0.3, 3)
-        if min(1.0 + r.features @ theta for r in recs) < 0.1:
+        if min(1.0 + Q @ theta) < 0.1:
             continue
-        g = est.gradient(theta, recs)
-        fd = central_difference(lambda t: est.loss(t, recs), theta)
+        g = est.gradient(theta, Q, y)
+        fd = central_difference(lambda t: est.loss(t, Q, y), theta)
         denom = max(np.linalg.norm(fd), 1e-8)
         worst = max(worst, float(np.linalg.norm(g - fd) / denom))
         checked += 1
@@ -113,12 +113,7 @@ def test_criterion_6_calibration_recovery():
             model = WinningFunctionModel(form, c_star)
             bids = rng.uniform(0.0, 5.0 * c_star, 10_000)
             wins = rng.random(10_000) < wm.win_prob(model, bids)
-            recs = [
-                est.HistoryRecord(np.array([1.0, 0.5, 0.5]), b, bool(w),
-                                  b if w else 0.0, 0.5 if w else None)
-                for b, w in zip(bids, wins)
-            ]
-            c_hat = wm.calibrate_c(wm.empirical_win_curve(recs, 20), form)
+            c_hat = wm.calibrate_c(wm.empirical_win_curve(bids, wins, 20), form)
             if abs(c_hat - c_star) <= 0.05 * c_star:
                 hits += 1
         results[form.value] = hits
@@ -187,8 +182,8 @@ def test_criterion_9_fl_accuracy_ordering(tmp_path):
                 master_seed=seed, partition=mode,
                 output_dir=str(tmp_path / f"{mode}{seed}"),
             )
-            for name, a in run_experiment(cfg).accuracy.items():
-                acc.setdefault((mode, name), []).append(a)
+            for name, m in run_experiment(cfg).metrics.per_agent.items():
+                acc.setdefault((mode, name), []).append(m.fl_accuracy)
 
     def mean(mode, name):
         vals = [v for v in acc[(mode, name)] if v is not None]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from flmarket import estimator as est
-from flmarket.estimator import EstimatorParams, HistoryRecord
+from flmarket.estimator import EstimatorParams
 from flmarket.market import DataOwner, Quality
 
-from conftest import central_difference, make_history
+from conftest import assert_matches_row_predict, central_difference, make_history
 
 
 class TestPredict:
@@ -23,11 +23,23 @@ class TestPredict:
     def test_clamp_floor(self):
         theta = np.array([-0.999999, 0.0, 0.0])
         q = np.array([1.0, 0.5, 0.5])
-        assert est.predict(theta, q, clamp_eps=1e-6) == pytest.approx(math.log(1e-6))
+        assert est.predict(theta, q) == pytest.approx(math.log(est.CLAMP_EPS))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             est.predict(np.zeros(2), np.zeros(3))
+
+    def test_matrix_rows_match_single_rows(self, rng):
+        theta = np.array([0.3, 0.9, 2.0])
+        Q = np.column_stack([np.ones(50), rng.uniform(0, 1, (50, 2))])
+        s = est.predict(theta, Q)
+        assert s.shape == (50,)
+        assert_matches_row_predict(theta, Q, s)
+        # 1 + theta.q below the clamp floor on the first row only
+        clamped = est.predict(np.array([-2.0, 0.0, 1.0]), np.array([[1.0, 0.5, 0.5], [1.0, 0.5, 2.5]]))
+        assert clamped.tolist() == [math.log(est.CLAMP_EPS), math.log(1.5)]
+        with pytest.raises(ValueError):
+            est.predict(theta, np.zeros((4, 2)))
 
     def test_monotone_in_dot_product(self):
         q = np.array([1.0, 0.5, 0.5])
@@ -38,87 +50,85 @@ class TestPredict:
 class TestLoss:
     def test_perfect_fit(self, rng):
         theta = np.array([0.2, 0.4, 0.1])
-        recs = make_history(theta, 1, rng)
-        assert est.loss(theta, recs) == pytest.approx(0.0, abs=1e-15)
+        Q, y = make_history(theta, 1, rng)
+        assert est.loss(theta, Q, y) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_theta_y_two(self):
-        rec = HistoryRecord(np.array([1.0, 0.5, 0.5]), 0.1, True, 0.1, 2.0)
-        assert est.loss(np.zeros(3), [rec]) == pytest.approx(2.0)
+        assert est.loss(np.zeros(3), np.array([[1.0, 0.5, 0.5]]), np.array([2.0])) == pytest.approx(2.0)
 
     def test_order_invariance(self, rng):
-        recs = make_history([0.3, 0.6, 0.9], 10, rng)
+        Q, y = make_history([0.3, 0.6, 0.9], 10, rng)
         theta = np.array([0.1, 0.2, 0.3])
-        assert est.loss(theta, recs) == pytest.approx(est.loss(theta, recs[::-1]))
+        assert est.loss(theta, Q, y) == pytest.approx(est.loss(theta, Q[::-1], y[::-1]))
 
     def test_empty_history(self):
         with pytest.raises(ValueError):
-            est.loss(np.zeros(3), [])
+            est.fit(np.zeros((0, 3)), np.zeros(0), EstimatorParams())
 
 
 class TestGradient:
     def test_zero_everything(self):
-        rec = HistoryRecord(np.array([1.0, 0.5, 0.5]), 0.1, True, 0.1, 0.0)
-        np.testing.assert_allclose(est.gradient(np.zeros(3), [rec]), np.zeros(3))
+        g = est.gradient(np.zeros(3), np.array([[1.0, 0.5, 0.5]]), np.zeros(1))
+        np.testing.assert_allclose(g, np.zeros(3))
 
     def test_linearity_of_sum(self, rng):
-        recs = make_history([0.3, 0.6, 0.9], 1, rng)
+        Q, y = make_history([0.3, 0.6, 0.9], 1, rng)
         theta = np.array([0.1, -0.2, 0.3])
-        g1 = est.gradient(theta, recs)
-        g2 = est.gradient(theta, recs * 2)
+        g1 = est.gradient(theta, Q, y)
+        g2 = est.gradient(theta, np.vstack([Q, Q]), np.concatenate([y, y]))
         np.testing.assert_allclose(g2, 2 * g1)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2024)
         for _ in range(100):
-            recs = make_history(rng.uniform(-0.2, 0.5, 3), rng.integers(1, 8), rng)
+            Q, y = make_history(rng.uniform(-0.2, 0.5, 3), rng.integers(1, 8), rng)
             theta = rng.uniform(-0.3, 0.3, 3)
             # keep away from the clamp region
-            if min(1.0 + r.features @ theta for r in recs) < 0.1:
+            if min(1.0 + Q @ theta) < 0.1:
                 continue
-            g = est.gradient(theta, recs)
-            fd = central_difference(lambda t: est.loss(t, recs), theta)
+            g = est.gradient(theta, Q, y)
+            fd = central_difference(lambda t: est.loss(t, Q, y), theta)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
 
 class TestFit:
     def test_synthetic_self_recovery(self, rng):
         theta_star = np.array([0.5, 1.0, 2.0])
-        recs = make_history(theta_star, 20, rng)
-        initial = est.loss(np.zeros(3), recs)
-        theta = est.fit(recs, EstimatorParams(learning_rate=0.05, epochs=5000))
-        assert est.loss(theta, recs) <= 1e-3 * initial
+        Q, y = make_history(theta_star, 20, rng)
+        initial = est.loss(np.zeros(3), Q, y)
+        theta = est.fit(Q, y, EstimatorParams(learning_rate=0.05, epochs=5000))
+        assert est.loss(theta, Q, y) <= 1e-3 * initial
 
     def test_single_point_interpolation(self):
-        rec = HistoryRecord(np.array([1.0, 0.5, 0.5]), 0.1, True, 0.1, 0.8)
-        theta = est.fit([rec], EstimatorParams(learning_rate=0.05, epochs=5000))
-        assert est.predict(theta, rec.features) == pytest.approx(0.8, abs=1e-3)
+        q = np.array([1.0, 0.5, 0.5])
+        theta = est.fit(q[None, :], np.array([0.8]), EstimatorParams(learning_rate=0.05, epochs=5000))
+        assert est.predict(theta, q) == pytest.approx(0.8, abs=1e-3)
 
     def test_zero_epochs(self, rng):
-        recs = make_history([0.3, 0.6, 0.9], 5, rng)
-        np.testing.assert_array_equal(est.fit(recs, EstimatorParams(epochs=0)), np.zeros(3))
+        Q, y = make_history([0.3, 0.6, 0.9], 5, rng)
+        np.testing.assert_array_equal(est.fit(Q, y, EstimatorParams(epochs=0)), np.zeros(3))
 
     def test_divergence_reports_step(self, rng):
-        recs = make_history([0.5, 1.0, 2.0], 500, rng)
+        Q, y = make_history([0.5, 1.0, 2.0], 500, rng)
         with pytest.raises(est.DivergenceError) as exc:
-            est.fit(recs, EstimatorParams(learning_rate=0.05, epochs=5000))
+            est.fit(Q, y, EstimatorParams(learning_rate=0.05, epochs=5000))
         assert exc.value.step >= 0
 
     def test_backoff_recovers(self, rng):
-        recs = make_history([0.5, 1.0, 2.0], 500, rng)
-        theta, used = est.fit_with_backoff(recs, EstimatorParams(0.05, 5000))
+        Q, y = make_history([0.5, 1.0, 2.0], 500, rng)
+        theta, used = est.fit_with_backoff(Q, y, EstimatorParams(0.05, 5000))
         assert used.learning_rate < 0.05
-        assert est.loss(theta, recs) <= 1e-3 * est.loss(np.zeros(3), recs)
+        assert est.loss(theta, Q, y) <= 1e-3 * est.loss(np.zeros(3), Q, y)
 
     def test_small_rate_monotone_trajectory(self, rng):
         # replay the update rule step by step and assert per-step descent
-        recs = make_history([0.5, 1.0, 2.0], 20, rng)
+        Q, y = make_history([0.5, 1.0, 2.0], 20, rng)
         theta = np.zeros(3)
-        Q = np.stack([r.features for r in recs])
-        prev = est.loss(theta, recs)
+        prev = est.loss(theta, Q, y)
         for _ in range(2000):
-            theta = theta - 0.01 * est.gradient(theta, recs)
-            theta, _ = est._project(theta, Q, 1e-6)
-            cur = est.loss(theta, recs)
+            theta = theta - 0.01 * est.gradient(theta, Q, y)
+            theta, _ = est._project(theta, Q)
+            cur = est.loss(theta, Q, y)
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -147,8 +157,3 @@ class TestTrueUtility:
             assert est.true_utility(self._owner(Quality.CLEAN, n)) > est.true_utility(
                 self._owner(Quality.BLURRED, n)
             )
-
-
-def test_history_record_rejects_label_on_loss():
-    with pytest.raises(ValueError):
-        HistoryRecord(np.ones(3), 0.1, False, 0.0, 1.0)

@@ -1,10 +1,8 @@
-import struct
-
 import numpy as np
 import pytest
 
 from flmarket import fltrain
-from flmarket.fltrain import IdxFormatError, LocalDataset
+from flmarket.fltrain import LocalDataset
 from flmarket.market import ConfigurationError, DataOwner, Quality
 
 
@@ -175,46 +173,3 @@ def test_clean_cohort_beats_blurred_cohort(seed):
 
     assert cohort_accuracy(Quality.CLEAN, 60) >= cohort_accuracy(Quality.BLURRED, 1)
 
-
-class TestIdx:
-    def _write_pair(self, tmp_path, n=3, rows=2, cols=2, labels=None, pixels=None):
-        img = tmp_path / "img.idx"
-        lab = tmp_path / "lab.idx"
-        if pixels is None:
-            pixels = bytes(range(n * rows * cols))
-        img.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + pixels)
-        if labels is None:
-            labels = bytes([i % 10 for i in range(n)])
-        lab.write_bytes(struct.pack(">II", 0x801, len(labels)) + labels)
-        return img, lab
-
-    def test_roundtrip(self, tmp_path):
-        img, lab = self._write_pair(tmp_path)
-        data = fltrain.load_idx(img, lab)
-        assert data.features.shape == (3, 4)
-        assert data.labels.tolist() == [0, 1, 2]
-        assert data.features.min() >= 0.0 and data.features.max() <= 1.0
-        assert data.features[0, 1] == pytest.approx(1 / 255)
-
-    def test_wrong_magic(self, tmp_path):
-        img, lab = self._write_pair(tmp_path)
-        with pytest.raises(IdxFormatError, match="magic"):
-            fltrain.load_idx(lab, lab)
-
-    def test_truncated(self, tmp_path):
-        img, lab = self._write_pair(tmp_path)
-        img.write_bytes(img.read_bytes()[:-2])
-        with pytest.raises(IdxFormatError):
-            fltrain.load_idx(img, lab)
-
-    def test_count_mismatch(self, tmp_path):
-        img, _ = self._write_pair(tmp_path)
-        lab = tmp_path / "short.idx"
-        lab.write_bytes(struct.pack(">II", 0x801, 2) + bytes([1, 2]))
-        with pytest.raises(IdxFormatError, match="mismatch"):
-            fltrain.load_idx(img, lab)
-
-    def test_labels_in_range(self, tmp_path):
-        img, lab = self._write_pair(tmp_path, labels=bytes([0, 9, 5]))
-        data = fltrain.load_idx(img, lab)
-        assert all(0 <= v <= 9 for v in data.labels)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from flmarket import estimator
 from flmarket.cli import main
 from flmarket.config import RunConfig
 from flmarket.experiment import (
@@ -16,6 +17,8 @@ from flmarket.experiment import (
     summary_csv_header,
 )
 from flmarket.market import ConfigurationError, generate_do_pool
+
+from conftest import assert_matches_row_predict
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -49,6 +52,22 @@ class TestBootstrap:
             assert np.isfinite(cal[name].win_model.c)
             assert cal[name].lambda_solution.lam >= 0
             assert np.all(np.isfinite(cal[name].theta))
+
+    def test_history_columns(self, tmp_path):
+        cfg = small_config(out=str(tmp_path))
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, 1)
+        cal = bootstrap_history(cfg, pool, np.random.default_rng(0))
+        histories = [cal[a.name].history for a in cfg.agents]
+        for h in histories:
+            assert len(h) == cfg.bootstrap_rounds * cfg.pool_size
+            assert np.all(h["bid"] > 0)
+            np.testing.assert_array_equal(np.isfinite(h["utility"]), h["won"])
+            np.testing.assert_array_equal(h["q"], histories[0]["q"])
+        # every bootstrap bid is positive, so every auction has one winner
+        assert np.all(sum(h["won"].astype(int) for h in histories) == 1)
+        for name in ("fbs", "fbc"):
+            theta, Q = cal[name].theta, cal[name].history["q"]
+            assert_matches_row_predict(theta, Q, estimator.predict(theta, Q))
 
     def test_reproducible(self, tmp_path):
         cfg = small_config(out=str(tmp_path))
@@ -168,6 +187,9 @@ class TestCli:
         assert main(["--out", str(out), "run", str(cfg)]) == 0
         assert main(["plot", str(out)]) == 0
         assert list(out.glob("*.svg"))
+        charts = tmp_path / "charts" / "missing"
+        assert main(["--out", str(charts), "plot", str(out)]) == 0
+        assert sorted(p.name for p in charts.glob("*.svg")) == sorted(p.name for p in out.glob("*.svg"))
 
 
 class TestPlots:

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from flmarket import winmodel as wm
-from flmarket.estimator import HistoryRecord
 from flmarket.winmodel import WinForm, WinningFunctionModel
-
-
-def record(bid, won):
-    return HistoryRecord(np.array([1.0, 0.5, 0.5]), bid, won, bid if won else 0.0,
-                         0.5 if won else None)
 
 
 class TestWinProb:
@@ -74,23 +68,22 @@ class TestDerivative:
 
 class TestWinCurve:
     def test_all_won(self):
-        curve = wm.empirical_win_curve([record(0.1 * i, True) for i in range(1, 30)], 5)
+        curve = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.ones(29, bool), 5)
         assert all(b.win_rate == 1.0 for b in curve)
 
     def test_all_lost(self):
-        curve = wm.empirical_win_curve([record(0.1 * i, False) for i in range(1, 30)], 5)
+        curve = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.zeros(29, bool), 5)
         assert all(b.win_rate == 0.0 for b in curve)
 
     def test_counts_partition(self, rng):
-        records = [record(b, bool(w)) for b, w in zip(rng.uniform(0, 2, 200), rng.integers(0, 2, 200))]
-        curve = wm.empirical_win_curve(records, 10)
+        curve = wm.empirical_win_curve(rng.uniform(0, 2, 200), rng.integers(0, 2, 200) == 1, 10)
         assert sum(b.count for b in curve) == 200
         mids = [b.mid_bid for b in curve]
         assert mids == sorted(mids)
 
     def test_empty_records(self):
         with pytest.raises(wm.InsufficientDataError):
-            wm.empirical_win_curve([], 10)
+            wm.empirical_win_curve([], [], 10)
 
 
 def exact_curve(form, c0, num=15, hi=5.0):
@@ -101,11 +94,11 @@ def exact_curve(form, c0, num=15, hi=5.0):
     ]
 
 
-def monte_carlo_records(form, c_star, n, rng):
+def monte_carlo_curve(form, c_star, n, rng):
     model = WinningFunctionModel(form, c_star)
     bids = rng.uniform(0.0, 5.0 * c_star, n)
     wins = rng.random(n) < wm.win_prob(model, bids)
-    return [record(b, bool(w)) for b, w in zip(bids, wins)]
+    return wm.empirical_win_curve(bids, wins, 20)
 
 
 class TestCalibration:
@@ -115,12 +108,12 @@ class TestCalibration:
 
     def test_monte_carlo_simple(self):
         rng = np.random.default_rng(11)
-        curve = wm.empirical_win_curve(monte_carlo_records(WinForm.SIMPLE, 2.0, 10_000, rng), 20)
+        curve = monte_carlo_curve(WinForm.SIMPLE, 2.0, 10_000, rng)
         assert 1.9 <= wm.calibrate_c(curve, WinForm.SIMPLE) <= 2.1
 
     def test_monte_carlo_complex(self):
         rng = np.random.default_rng(12)
-        curve = wm.empirical_win_curve(monte_carlo_records(WinForm.COMPLEX, 1.5, 10_000, rng), 20)
+        curve = monte_carlo_curve(WinForm.COMPLEX, 1.5, 10_000, rng)
         assert 1.42 <= wm.calibrate_c(curve, WinForm.COMPLEX) <= 1.58
 
     def test_degenerate_curve(self):
@@ -136,7 +129,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("form", list(WinForm))
     def test_objective_unimodal(self, form, rng):
-        curve = wm.empirical_win_curve(monte_carlo_records(form, 1.8, 5_000, rng), 20)
+        curve = monte_carlo_curve(form, 1.8, 5_000, rng)
         hi = 10.0 * max(b.mid_bid for b in curve)
         grid = np.linspace(1e-4, hi, 200)
         obj = np.array([wm.calibration_objective(curve, form, c) for c in grid])
