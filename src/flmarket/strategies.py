@@ -77,21 +77,34 @@ def _check_closed_form_args(s, c, lam):
         raise ValueError(f"invalid bid arguments s={s}, c={c}, lambda={lam}")
 
 
+# Both closed forms are evaluated without subtraction, so a bid is never
+# negative and keeps full relative accuracy as s -> 0 (Goldberg 1991,
+# "What Every Computer Scientist Should Know About Floating-Point
+# Arithmetic", section 1.4).
+
+
 def bid_fbs(s: float, c: float, lam: float) -> float:
-    """Optimal bid under the simple win model: sqrt(c^2 + s c/(lam+1)) - c."""
+    """Optimal bid under the simple win model: sqrt(c^2 + x) - c, x = s c/(lam+1).
+
+    Evaluated as x / (sqrt(c^2 + x) + c).
+    """
     _check_closed_form_args(s, c, lam)
-    return math.sqrt(c * c + s * c / (lam + 1.0)) - c
+    x = s * c / (lam + 1.0)
+    return x / (math.sqrt(c * c + x) + c)
 
 
 def bid_fbc(s: float, c: float, lam: float) -> float:
     """Optimal bid under the complex win model.
 
     Equivalently the unique real root of b^3 + 3 c^2 b = 2 c^2 s/(lam+1).
+    The root is c (t - 1/t) with t^3 = (s + sqrt(a^2 + s^2))/a, a = c (lam+1).
+    Since t^3 - t^-3 = r = 2 s/a, it is evaluated as
+    c r / (t^2 + 1 + t^-2) = 2 s/(lam+1) / (t^2 + 1 + t^-2).
     """
     _check_closed_form_args(s, c, lam)
-    big = s + math.sqrt(c * c * (lam + 1.0) ** 2 + s * s)
-    t = (big / (c * (lam + 1.0))) ** (1.0 / 3.0)
-    return c * (t - 1.0 / t)
+    a = c * (lam + 1.0)
+    t2 = ((s + math.sqrt(a * a + s * s)) / a) ** (2.0 / 3.0)
+    return 2.0 * s / (lam + 1.0) / (t2 + 1.0 + 1.0 / t2)
 
 
 def closed_form_bid(s: float, model: WinningFunctionModel, lam: float) -> float:

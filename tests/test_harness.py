@@ -134,6 +134,13 @@ class TestRunExperiment:
         assert a.summary_csv.read_bytes() == b.summary_csv.read_bytes()
         assert a.calibration_report.read_bytes() == b.calibration_report.read_bytes()
 
+    def test_zero_utility_samples_complete(self, tmp_path):
+        # 40 of the fbc agent's utility samples clamp to 0 here; a zero
+        # sample once bid about -1e-16 and stopped the lambda search
+        art = run_experiment(RunConfig(master_seed=19, budget=50.0, train_fl=False, output_dir=str(tmp_path)))
+        assert art.calibration["fbc"].lambda_solution.lam > 0
+        assert art.summary_csv.exists()
+
     def test_calibration_report_contents(self, tmp_path):
         art = run_experiment(small_config(out=str(tmp_path), train_fl=False))
         report = json.loads(art.calibration_report.read_text())

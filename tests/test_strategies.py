@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -97,6 +98,57 @@ class TestClosedForms:
             bids = [fn(s, c, lam) for lam in lams]
             assert all(b2 < b1 for b1, b2 in zip(bids, bids[1:]))
             assert bids[0] == max(bids)
+
+
+def newton_root(coeffs, start):
+    """Positive root of the polynomial with ``coeffs`` (highest power first).
+
+    Newton's method in 60-digit decimal arithmetic.  The polynomials here
+    are increasing and convex on b >= 0, so it converges from any b > 0
+    without evaluating a closed form.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        coeffs = [Decimal(a) for a in coeffs]
+        deriv = [a * (len(coeffs) - 1 - i) for i, a in enumerate(coeffs[:-1])]
+        b = Decimal(start)
+        for _ in range(500):
+            p = dp = Decimal(0)
+            for a in coeffs:
+                p = p * b + a
+            for a in deriv:
+                dp = dp * b + a
+            step = p / dp
+            b -= step
+            if abs(step) <= b * Decimal("1e-55"):
+                return b
+    raise AssertionError("Newton reference did not converge")
+
+
+class TestTinyUtility:
+    @given(
+        s=hs.floats(1e-300, 1e3), c=hs.floats(1e-3, 5.0), lam=hs.floats(0.0, 5.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_accurate_to_tiny_s(self, s, c, lam):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            S, C, L1 = Decimal(s), Decimal(c), Decimal(lam) + 1
+            x = S * C / L1  # fbs: b^2 + 2 c b - x = 0
+            k = 2 * C * C * S / L1  # fbc: b^3 + 3 c^2 b - k = 0
+            refs = {
+                st.bid_fbs: newton_root([1, 2 * C, -x], x / (2 * C)),
+                st.bid_fbc: newton_root([1, 0, 3 * C * C, -k], k / (3 * C * C)),
+            }
+        for bid_fn, ref in refs.items():
+            b = bid_fn(s, c, lam)
+            assert b >= 0
+            assert abs(Decimal(b) - ref) <= Decimal("1e-12") * ref
+
+    @pytest.mark.parametrize("bid_fn", [st.bid_fbs, st.bid_fbc])
+    def test_zero_utility_bids_zero(self, bid_fn, rng):
+        for c, lam in zip(rng.uniform(1e-3, 5.0, 200), rng.uniform(0.0, 5.0, 200)):
+            assert bid_fn(0.0, c, lam) == 0.0
 
 
 class TestFirstOrderCondition:
