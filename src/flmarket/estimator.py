@@ -44,9 +44,8 @@ def predict(theta: np.ndarray, q: np.ndarray):
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != theta.shape:
         raise ValueError(f"dimension mismatch: theta {theta.shape} vs q {q.shape}")
-    if q.ndim == 1:
-        return float(np.log(max(1.0 + float(theta @ q), CLAMP_EPS)))
-    return np.log(np.maximum(1.0 + q @ theta, CLAMP_EPS))
+    s = np.log(np.maximum(1.0 + q @ theta, CLAMP_EPS))
+    return float(s) if s.ndim == 0 else s
 
 
 def loss(theta: np.ndarray, Q: np.ndarray, y: np.ndarray) -> float:

@@ -122,7 +122,8 @@ def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
                     f"agent {spec.name} won no bootstrap auctions; "
                     "increase bootstrap_rounds or rand_max"
                 )
-            Q, y = np.ascontiguousarray(won["q"]), won["utility"]
+            # contiguous copies: the fit reads them 5,000 times per rate
+            Q, y = np.ascontiguousarray(won["q"]), np.ascontiguousarray(won["utility"])
             cal.theta, used = estimator.fit_with_backoff(Q, y, est_params)
             cal.estimator_loss = estimator.loss(cal.theta, Q, y)
             cal.estimator_lr = used.learning_rate
