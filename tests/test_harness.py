@@ -135,8 +135,8 @@ class TestRunExperiment:
         assert a.calibration_report.read_bytes() == b.calibration_report.read_bytes()
 
     def test_zero_utility_samples_complete(self, tmp_path):
-        # 40 of the fbc agent's utility samples clamp to 0 here; a zero
-        # sample once bid about -1e-16 and stopped the lambda search
+        # 40 of the fbc agent's utility samples clamp to 0 here, and the
+        # lambda search needs their bids to be exactly 0, not negative
         art = run_experiment(RunConfig(master_seed=19, budget=50.0, train_fl=False, output_dir=str(tmp_path)))
         assert art.calibration["fbc"].lambda_solution.lam > 0
         assert art.summary_csv.exists()

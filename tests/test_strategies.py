@@ -53,8 +53,11 @@ class TestClosedForms:
         assert st.bid_fbs(3.0, 1.0, 0.0) == pytest.approx(1.0)
         assert st.bid_fbs(8.0, 2.0, 1.0) == pytest.approx(math.sqrt(12) - 2)
 
-    def test_fbc_zero_utility(self):
-        assert st.bid_fbc(0.0, 1.7, 0.3) == pytest.approx(0.0, abs=1e-12)
+    def test_fbc_zero_utility(self, rng):
+        assert st.bid_fbc(0.0, 1.7, 0.3) == 0.0
+        assert st.bid_fbc(0.0, 3.0, 4.9) == 0.0
+        for c, lam in zip(rng.uniform(1e-3, 5.0, 200), rng.uniform(0.0, 5.0, 200)):
+            assert st.bid_fbc(0.0, c, lam) == 0.0
 
     def test_fbc_known_value(self):
         # unique real root of b^3 + 3b = 4
@@ -144,11 +147,6 @@ class TestTinyUtility:
             b = bid_fn(s, c, lam)
             assert b >= 0
             assert abs(Decimal(b) - ref) <= Decimal("1e-12") * ref
-
-    @pytest.mark.parametrize("bid_fn", [st.bid_fbs, st.bid_fbc])
-    def test_zero_utility_bids_zero(self, bid_fn, rng):
-        for c, lam in zip(rng.uniform(1e-3, 5.0, 200), rng.uniform(0.0, 5.0, 200)):
-            assert bid_fn(0.0, c, lam) == 0.0
 
 
 class TestFirstOrderCondition:
