@@ -381,7 +381,9 @@ def _write_bar_svg(path, title, ylabel, labels, values):
 def emit_plots(artifacts_dir, out_dir=None) -> list:
     """Bar charts of total samples and unit price from summary CSVs.
 
-    One SVG chart per metric per budget value found across the summaries.
+    One SVG chart per metric per summary file (seed), with a bar for every
+    agent in it.  The name carries the budget, or the distinct per-agent
+    budgets joined with '-'.
     """
     artifacts_dir = Path(artifacts_dir)
     out_dir = Path(out_dir) if out_dir else artifacts_dir
@@ -398,10 +400,11 @@ def emit_plots(artifacts_dir, out_dir=None) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     written = []
-    by_key = {}
+    by_seed = {}
     for rec in rows:
-        by_key.setdefault((rec["_seed"], rec["budget"]), []).append(rec)
-    for (seed, budget), group in sorted(by_key.items()):
+        by_seed.setdefault(rec["_seed"], []).append(rec)
+    for seed, group in sorted(by_seed.items()):
+        budget = "-".join(sorted({r["budget"] for r in group}, key=float))
         agents = [r["agent"] for r in group]
         for metric, column in (("total_samples", "total_samples"), ("unit_price", "unit_price")):
             values = [float(r[column]) if r[column] else 0.0 for r in group]

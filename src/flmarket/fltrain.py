@@ -107,10 +107,34 @@ def local_train(
     local_epochs: int = 100,
     lr: float = 0.05,
 ) -> np.ndarray:
-    """Full-batch gradient descent on softmax cross-entropy."""
+    """Full-batch gradient descent on softmax cross-entropy.
+
+    Reproduces ``w = w - lr * cross_entropy_gradient(w, X, y)`` bit for
+    bit.  The augmented features, the row index and the (n, K)
+    probability buffer are built once; each step computes the softmax in
+    place in that buffer and subtracts 1 at the true labels instead of
+    building a one-hot matrix.
+    """
     w = weights.copy()
+    Xa = _augment(dataset.features)
+    y = dataset.labels
+    n = len(y)
+    rows = np.arange(n)
+    p = np.empty((n, w.shape[0]))
+    row_max = np.empty(n)
     for step in range(local_epochs):
-        w = w - lr * cross_entropy_gradient(w, dataset.features, dataset.labels)
+        np.matmul(Xa, w.T, out=p)
+        # max is exact, so a running maximum over the columns gives the
+        # bits of p.max(axis=1) at a fraction of its cost
+        np.copyto(row_max, p[:, 0])
+        for k in range(1, p.shape[1]):
+            np.maximum(row_max, p[:, k], out=row_max)
+        p -= row_max[:, None]
+        np.exp(p, out=p)
+        # the sum keeps the reference's layout: other orders round differently
+        p /= p.sum(axis=1, keepdims=True)
+        p[rows, y] -= 1.0
+        w = w - lr * (p.T @ Xa / n)
         if not np.all(np.isfinite(w)):
             raise FloatingPointError(f"non-finite weights at local step {step}")
     return w

@@ -180,7 +180,10 @@ def solve_lambda(
 
     Finds lambda >= 0 such that the expected spend per request matches
     the per-request budget B/N, or returns lambda = 0 when the budget
-    constraint is slack at the unconstrained optimum.
+    constraint is slack at the unconstrained optimum.  ``note`` says why
+    the solve stopped short: when doubling the bracket reached the 1e12
+    cap, or when the bisection ran out of ``max_iterations`` with the
+    spend outside ``rel_tol`` of the target.
     """
     if len(utility_samples) == 0:
         raise ValueError("utility_samples must be non-empty")
@@ -194,12 +197,14 @@ def solve_lambda(
     g0 = expected_spend_per_request(samples, model, 0.0)
     if g0 <= target:
         return LambdaSolution(0.0, g0, target, 0)
+    notes = []
     hi = 1.0
     iters = 0
     while expected_spend_per_request(samples, model, hi) >= target:
         hi *= 2.0
         iters += 1
         if hi > 1e12:
+            notes.append(f"bracket capped at lambda={hi!r}: spend still at or above target")
             break
     lo = 0.0
     lam = hi
@@ -214,4 +219,9 @@ def solve_lambda(
             lo = lam
         else:
             hi = lam
-    return LambdaSolution(lam, g, target, iters)
+    if abs(g - target) > rel_tol * target:
+        notes.append(
+            f"bisection stopped at max_iterations={max_iterations} with spend {g!r}, "
+            f"target {target!r}"
+        )
+    return LambdaSolution(lam, g, target, iters, note="; ".join(notes) or None)

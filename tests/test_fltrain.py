@@ -95,6 +95,40 @@ class TestLocalTrain:
                 ) / (2 * h)
                 assert g[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
+    @staticmethod
+    def reference_train(w, data, steps, lr):
+        for _ in range(steps):
+            w = w - lr * fltrain.cross_entropy_gradient(w, data.features, data.labels)
+        return w
+
+    @pytest.mark.parametrize(
+        "K,d,n,classes,quality",
+        [
+            (10, 8, 500, None, Quality.CLEAN),
+            (4, 3, 300, None, Quality.CLEAN),
+            (10, 8, 1, None, Quality.CLEAN),
+            (10, 8, 200, [6], Quality.CLEAN),
+            (10, 8, 1500, [1, 8], Quality.BLURRED),
+        ],
+        ids=["default", "k4_d3", "one_sample", "single_label", "blurred_niid"],
+    )
+    def test_bit_identical_to_gradient_loop(self, rng, K, d, n, classes, quality):
+        centers = fltrain.make_class_centers(rng, K, d)
+        classes = None if classes is None else np.array(classes)
+        data = fltrain.synth_dataset(owner(quality, n), centers, 0.4, rng, classes=classes)
+        w0 = fltrain.zero_model(K, d)
+        np.testing.assert_array_equal(
+            fltrain.local_train(w0, data, local_epochs=100, lr=0.05),
+            self.reference_train(w0, data, 100, 0.05),
+        )
+
+    def test_non_finite_weights_name_the_step(self, rng):
+        data, _ = blobs(rng, n=50, spread=1e150)
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"non-finite weights at local step \d+"
+        ):
+            fltrain.local_train(fltrain.zero_model(4, 3), data, local_epochs=10, lr=1e300)
+
     def test_loss_decreases(self, rng):
         data, _ = blobs(rng)
         w0 = fltrain.zero_model(4, 3)

@@ -8,7 +8,7 @@ import yaml
 
 from flmarket import estimator
 from flmarket.cli import main
-from flmarket.config import RunConfig
+from flmarket.config import RunConfig, default_agent_lineup
 from flmarket.experiment import (
     bootstrap_history,
     emit_plots,
@@ -219,6 +219,22 @@ class TestPlots:
             assert len(root.findall(f"{{{SVG_NS}}}rect")) == len(agents)
             labels = [t.text for t in root.findall(f"{{{SVG_NS}}}text")]
             assert all(a in labels for a in agents)
+
+    def test_per_agent_budgets_share_one_chart(self, tmp_path):
+        agents = default_agent_lineup()
+        for spec in agents[::2]:
+            spec.budget = 150.0
+        run_experiment(small_config(out=str(tmp_path), train_fl=False, agents=agents))
+        written = emit_plots(tmp_path)
+        assert sorted(p.name for p in written) == [
+            "total_samples_budget0.5-1.5_seed7.svg",
+            "unit_price_budget0.5-1.5_seed7.svg",
+        ]
+        for path in written:
+            root = ET.parse(path).getroot()
+            assert len(root.findall(f"{{{SVG_NS}}}rect")) == len(agents)
+            labels = [t.text for t in root.findall(f"{{{SVG_NS}}}text")]
+            assert all(spec.name in labels for spec in agents)
 
     def test_empty_dir_notice(self, tmp_path, capsys):
         assert emit_plots(tmp_path) == []

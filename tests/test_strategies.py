@@ -194,6 +194,22 @@ class TestSolveLambda:
         sol = st.solve_lambda(samples, simple(1.0), budget, 100)
         assert sol.lam > 0
         assert abs(sol.expected_spend_per_request - sol.target) <= 0.01 * sol.target
+        assert sol.note is None
+
+    def test_note_when_bracket_capped(self):
+        # at lambda ~ 1e12 the spend is still ~1e-25, far above this target
+        sol = st.solve_lambda(np.ones(3), simple(1.0), 1e-300, 1, max_iterations=50)
+        assert sol.expected_spend_per_request > sol.target
+        assert "bracket capped" in sol.note
+        assert "max_iterations=50" in sol.note
+
+    def test_note_when_iterations_run_out(self, rng):
+        samples = self._samples(rng)
+        g0 = st.expected_spend_per_request(samples, simple(1.0), 0.0)
+        sol = st.solve_lambda(samples, simple(1.0), 0.1 * g0 * 100, 100, rel_tol=0.0, max_iterations=3)
+        assert sol.iterations >= 3
+        assert "max_iterations=3" in sol.note
+        assert "bracket capped" not in sol.note
 
     def test_spend_decreasing_in_lambda(self, rng):
         for form in (simple(0.8), complex_(0.8)):
