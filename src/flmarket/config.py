@@ -38,8 +38,9 @@ from typing import Optional
 
 import yaml
 
+from . import fltrain
 from .market import ConfigurationError
-from .strategies import Strategy
+from .strategies import Strategy, StrategyParams
 from .winmodel import WinForm
 
 
@@ -81,6 +82,9 @@ class RunConfig:
     def scaled_budget(self, spec: AgentSpec) -> float:
         nominal = spec.budget if spec.budget is not None else self.budget
         return nominal * self.budget_scale
+
+    def strategy_params(self) -> StrategyParams:
+        return StrategyParams(self.const_bid, self.rand_max, self.lin_coef)
 
 
 def default_agent_lineup() -> list:
@@ -141,8 +145,13 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigurationError("bootstrap_rounds must be non-negative")
     if not 0.0 <= cfg.noise_rate_blurred <= 1.0:
         raise ConfigurationError("noise_rate_blurred must be in [0, 1]")
-    if cfg.partition not in ("iid", "niid"):
-        raise ConfigurationError("partition must be 'iid' or 'niid'")
+    fltrain.partition_mode(cfg.partition, cfg.shards_per_owner)
+    if cfg.num_buckets < 2:
+        raise ConfigurationError("num_buckets must be >= 2")
+    try:
+        cfg.strategy_params()
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
     names = [a.name for a in cfg.agents]
     if len(set(names)) != len(names):
         raise ConfigurationError("agent names must be unique")

@@ -36,7 +36,7 @@ from .market import (
     generate_do_pool,
     run_market,
 )
-from .strategies import LambdaSolution, Strategy, StrategyParams, solve_lambda
+from .strategies import LambdaSolution, Strategy, solve_lambda
 from .winmodel import WinningFunctionModel, calibrate_c, empirical_win_curve
 
 _NEEDS_THETA = (Strategy.BMUB, Strategy.LIN, Strategy.FBS, Strategy.FBC)
@@ -69,12 +69,6 @@ class RunArtifacts:
     calibration_report: Path
 
 
-def _strategy_params(cfg: RunConfig) -> StrategyParams:
-    return StrategyParams(
-        const_bid=cfg.const_bid, rand_max=cfg.rand_max, lin_coef=cfg.lin_coef
-    )
-
-
 def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
     """Warm-up markets with all-random bidding, then per-agent calibration.
 
@@ -87,7 +81,7 @@ def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
             "bootstrap_rounds is 0 but these agents need history: "
             + ", ".join(a.name for a in needy)
         )
-    params = _strategy_params(cfg)
+    params = cfg.strategy_params()
     names = [a.name for a in cfg.agents]
     n = len(pool)
     histories = {name: np.empty(cfg.bootstrap_rounds * n, HISTORY_DTYPE) for name in names}
@@ -140,7 +134,7 @@ def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
 
 
 def build_market_agents(cfg: RunConfig, calibration: dict) -> list:
-    params = _strategy_params(cfg)
+    params = cfg.strategy_params()
     agents = []
     for spec in cfg.agents:
         cal = calibration[spec.name]

@@ -162,7 +162,7 @@ def compute_raw_bid(
         return bid_bmub(s, rng)
     if st is Strategy.LIN:
         return bid_lin(s, agent.params)
-    return closed_form_bid(max(s, 0.0), agent.win_model, agent.lam)
+    return closed_form_bid(s, agent.win_model, agent.lam)
 
 
 def run_market(

@@ -14,7 +14,6 @@ the shadow price of its budget constraint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -40,8 +39,9 @@ class StrategyParams:
     lin_coef: float = 0.5
 
     def __post_init__(self):
-        if self.const_bid <= 0 or self.rand_max <= 0 or self.lin_coef <= 0:
-            raise ValueError("strategy constants must be positive")
+        bad = [f"{k}={v}" for k, v in vars(self).items() if v <= 0]
+        if bad:
+            raise ValueError(f"strategy constants must be positive: {', '.join(bad)}")
 
 
 @dataclass
@@ -72,28 +72,31 @@ def bid_lin(s: float, params: StrategyParams) -> float:
     return params.lin_coef * max(s, 0.0)
 
 
-def _check_closed_form_args(s, c, lam):
-    if s < 0 or c <= 0 or lam < 0:
+def _check_closed_form_args(s: np.ndarray, c, lam):
+    if np.any(s < 0) or c <= 0 or lam < 0:
         raise ValueError(f"invalid bid arguments s={s}, c={c}, lambda={lam}")
 
 
 # Both closed forms are evaluated without subtraction, so a bid is never
 # negative and keeps full relative accuracy as s -> 0 (Goldberg 1991,
 # "What Every Computer Scientist Should Know About Floating-Point
-# Arithmetic", section 1.4).
+# Arithmetic", section 1.4).  Each takes a scalar or an array of
+# utilities and returns a float for a scalar.
 
 
-def bid_fbs(s: float, c: float, lam: float) -> float:
+def bid_fbs(s, c: float, lam: float):
     """Optimal bid under the simple win model: sqrt(c^2 + x) - c, x = s c/(lam+1).
 
     Evaluated as x / (sqrt(c^2 + x) + c).
     """
+    s = np.asarray(s, dtype=float)
     _check_closed_form_args(s, c, lam)
     x = s * c / (lam + 1.0)
-    return x / (math.sqrt(c * c + x) + c)
+    b = x / (np.sqrt(c * c + x) + c)
+    return float(b) if b.ndim == 0 else b
 
 
-def bid_fbc(s: float, c: float, lam: float) -> float:
+def bid_fbc(s, c: float, lam: float):
     """Optimal bid under the complex win model.
 
     Equivalently the unique real root of b^3 + 3 c^2 b = 2 c^2 s/(lam+1).
@@ -101,13 +104,17 @@ def bid_fbc(s: float, c: float, lam: float) -> float:
     Since t^3 - t^-3 = r = 2 s/a, it is evaluated as
     c r / (t^2 + 1 + t^-2) = 2 s/(lam+1) / (t^2 + 1 + t^-2).
     """
+    s = np.asarray(s, dtype=float)
     _check_closed_form_args(s, c, lam)
     a = c * (lam + 1.0)
-    t2 = ((s + math.sqrt(a * a + s * s)) / a) ** (2.0 / 3.0)
-    return 2.0 * s / (lam + 1.0) / (t2 + 1.0 + 1.0 / t2)
+    t2 = ((s + np.sqrt(a * a + s * s)) / a) ** (2.0 / 3.0)
+    b = 2.0 * s / (lam + 1.0) / (t2 + 1.0 + 1.0 / t2)
+    return float(b) if b.ndim == 0 else b
 
 
-def closed_form_bid(s: float, model: WinningFunctionModel, lam: float) -> float:
+def closed_form_bid(s, model: WinningFunctionModel, lam: float):
+    """Closed-form bid at utility ``s`` (scalar or array); negative ``s`` bids 0."""
+    s = np.maximum(s, 0.0)
     if model.form is WinForm.SIMPLE:
         return bid_fbs(s, model.c, lam)
     return bid_fbc(s, model.c, lam)
@@ -164,7 +171,7 @@ def expected_spend_per_request(
     utility_samples: np.ndarray, model: WinningFunctionModel, lam: float
 ) -> float:
     """Mean of b(s; lam) * W(b(s; lam)) over the utility samples."""
-    bids = np.array([closed_form_bid(s, model, lam) for s in utility_samples])
+    bids = closed_form_bid(utility_samples, model, lam)
     return float(np.mean(bids * win_prob(model, bids)))
 
 
@@ -189,8 +196,7 @@ def solve_lambda(
         raise ValueError("utility_samples must be non-empty")
     if budget <= 0 or num_requests < 1:
         raise ValueError("budget must be positive and num_requests >= 1")
-    # a consumer bids 0 on negative estimated utility
-    samples = np.maximum(np.asarray(utility_samples, dtype=float), 0.0)
+    samples = np.asarray(utility_samples, dtype=float)
     target = budget / num_requests
     if np.all(samples <= 0):
         return LambdaSolution(0.0, 0.0, target, 0, note="all utility samples are zero")

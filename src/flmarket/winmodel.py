@@ -8,7 +8,8 @@ its own bid.  Two one-parameter families are supported:
 
 Both satisfy W(0) = 0, W(c) = 0.5 and sup W = 1.  The constant ``c`` is
 calibrated against an empirical win-rate curve built from the consumer's
-past bids and whether each one won.
+past bids and whether each one won.  The curve is three equal-length
+arrays, ``(mid_bid, win_rate, count)``, one entry per non-empty bid bucket.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,13 +38,6 @@ class WinningFunctionModel:
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError(f"winning-function constant must be positive, got {self.c}")
-
-
-@dataclass(frozen=True)
-class WinCurveBucket:
-    mid_bid: float
-    win_rate: float
-    count: int
 
 
 def win_prob(model: WinningFunctionModel, b):
@@ -73,14 +66,14 @@ def win_prob_derivative(model: WinningFunctionModel, b):
     return float(d) if d.ndim == 0 else d
 
 
-def empirical_win_curve(bids, won, num_buckets: int = 20) -> list[WinCurveBucket]:
+def empirical_win_curve(bids, won, num_buckets: int = 20) -> tuple:
     """Bucket past bids and their outcomes into an empirical win-rate curve.
 
     ``bids`` and ``won`` are equal-length arrays, one entry per auction.
     Equal-width bid buckets over [0, max bid]; empty buckets are omitted.
+    Returns the ``(mid_bid, win_rate, count)`` arrays of the other buckets.
     """
     bids = np.asarray(bids, dtype=float)
-    wins = np.asarray(won, dtype=float)
     if len(bids) == 0:
         raise InsufficientDataError("no records to build a win curve from")
     if num_buckets < 2:
@@ -89,22 +82,13 @@ def empirical_win_curve(bids, won, num_buckets: int = 20) -> list[WinCurveBucket
     if hi <= 0:
         raise InsufficientDataError("all historical bids are zero")
     edges = np.linspace(0.0, hi, num_buckets + 1)
-    # np.digitize puts b == hi into the last bucket
-    idx = np.clip(np.digitize(bids, edges[1:-1]), 0, num_buckets - 1)
-    curve = []
-    for k in range(num_buckets):
-        mask = idx == k
-        n = int(mask.sum())
-        if n == 0:
-            continue
-        curve.append(
-            WinCurveBucket(
-                mid_bid=float(0.5 * (edges[k] + edges[k + 1])),
-                win_rate=float(wins[mask].mean()),
-                count=n,
-            )
-        )
-    return curve
+    # against the inner edges, b == hi falls into the last bucket
+    idx = np.digitize(bids, edges[1:-1])
+    count = np.bincount(idx, minlength=num_buckets)
+    won_count = np.bincount(idx, weights=won, minlength=num_buckets)
+    keep = count > 0
+    mid_bid = 0.5 * (edges[:-1] + edges[1:])
+    return mid_bid[keep], won_count[keep] / count[keep], count[keep]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -127,26 +111,27 @@ def _golden_section(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-def calibration_objective(curve: Iterable[WinCurveBucket], form: WinForm, c: float) -> float:
+def calibration_objective(curve: tuple, form: WinForm, c: float) -> float:
     """Count-weighted squared error between the model and the empirical curve."""
+    mid_bid, win_rate, count = curve
     model = WinningFunctionModel(form, c)
-    return float(
-        sum(b.count * (win_prob(model, b.mid_bid) - b.win_rate) ** 2 for b in curve)
-    )
+    return float(np.sum(count * (win_prob(model, mid_bid) - win_rate) ** 2))
 
 
-def calibrate_c(curve: Sequence[WinCurveBucket], form: WinForm) -> float:
+def calibrate_c(curve: tuple, form: WinForm) -> float:
     """Fit the constant c by count-weighted least squares on the empirical curve.
 
-    Golden-section search on c in [1e-4, 10 * max bucket bid].
+    ``curve`` is the ``(mid_bid, win_rate, count)`` arrays of
+    ``empirical_win_curve``.  Golden-section search on c in
+    [1e-4, 10 * max bucket bid].
     """
-    if len(curve) < 2:
+    mid_bid, win_rate, _ = curve
+    if len(mid_bid) < 2:
         raise InsufficientDataError("win curve needs at least 2 buckets")
-    rates = [b.win_rate for b in curve]
-    if all(r == 0.0 for r in rates) or all(r == 1.0 for r in rates):
+    if np.all(win_rate == 0.0) or np.all(win_rate == 1.0):
         raise InsufficientDataError(
             "degenerate win curve (all rates 0 or 1); widen bid exploration"
         )
-    hi = 10.0 * max(b.mid_bid for b in curve)
+    hi = 10.0 * float(np.max(mid_bid))
     c_hat = _golden_section(lambda c: calibration_objective(curve, form, c), 1e-4, hi)
     return max(c_hat, 1e-4)

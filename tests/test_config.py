@@ -1,6 +1,7 @@
 import pytest
 import yaml
 
+from flmarket.cli import main
 from flmarket.config import (
     AgentSpec,
     RunConfig,
@@ -124,3 +125,37 @@ def test_default_lineup_forms():
     lineup = default_agent_lineup()
     assert lineup[4].form is WinForm.SIMPLE
     assert lineup[5].form is WinForm.COMPLEX
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("num_buckets", 1),
+        ("num_buckets", 0),
+        ("const_bid", -1),
+        ("rand_max", 0),
+        ("lin_coef", -0.5),
+    ],
+)
+def test_bad_bidding_values_rejected(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        config_from_mapping({"master_seed": 1, key: value})
+
+
+@pytest.mark.parametrize("shards", [0, 11])
+def test_niid_shards_out_of_range(shards):
+    with pytest.raises(ConfigurationError, match="shards_per_owner"):
+        config_from_mapping({"master_seed": 1, "partition": "niid", "shards_per_owner": shards})
+
+
+def test_iid_ignores_shards_per_owner():
+    assert config_from_mapping({"master_seed": 1, "shards_per_owner": 0}).shards_per_owner == 0
+
+
+@pytest.mark.parametrize("key,value", [("num_buckets", 1), ("const_bid", -1)])
+def test_cli_rejects_bad_value_before_running(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"master_seed": 1, "train_fl": False, key: value})
+    assert main(["--out", str(out), "run", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.rglob("market_*.csv"))

@@ -103,6 +103,49 @@ class TestClosedForms:
             assert bids[0] == max(bids)
 
 
+def utility_array(rng, n=2_000):
+    """Log-uniform utilities in [1e-300, 1e3] with exact zeros mixed in."""
+    s = 10.0 ** rng.uniform(-300, 3, n)
+    s[rng.integers(0, n, n // 20)] = 0.0
+    return s
+
+
+class TestArrayForms:
+    def test_array_matches_scalar_calls(self, rng):
+        for _ in range(20):
+            s, c, lam = utility_array(rng), rng.uniform(1e-3, 5.0), rng.uniform(0.0, 5.0)
+            fbs = st.bid_fbs(s, c, lam)
+            fbc = st.bid_fbc(s, c, lam)
+            fbs_1 = np.array([st.bid_fbs(x, c, lam) for x in s])
+            fbc_1 = np.array([st.bid_fbc(x, c, lam) for x in s])
+            np.testing.assert_array_equal(fbs, fbs_1)
+            assert np.all(np.abs(fbc - fbc_1) <= 4 * np.spacing(fbc_1))
+            zero = s == 0.0
+            assert np.all(fbs[zero] == 0.0) and np.all(fbc[zero] == 0.0)
+            assert np.all(fbs[~zero] > 0.0) and np.all(fbc[~zero] > 0.0)
+
+    def test_scalar_in_float_out(self):
+        for fn in (st.bid_fbs, st.bid_fbc):
+            assert type(fn(1.5, 1.0, 0.2)) is float
+            assert type(fn(np.float64(1.5), 1.0, 0.2)) is float
+            assert fn(np.array([1.5]), 1.0, 0.2).shape == (1,)
+
+    def test_negative_element_rejected(self, rng):
+        s = utility_array(rng, 100)
+        s[37] = -1e-12
+        for fn in (st.bid_fbs, st.bid_fbc):
+            with pytest.raises(ValueError):
+                fn(s, 1.0, 0.5)
+
+    def test_closed_form_bid_zeroes_negative_utility(self, rng):
+        s = rng.uniform(-2.0, 2.0, 500)
+        for model in (simple(0.7), complex_(0.7)):
+            bids = st.closed_form_bid(s, model, 0.4)
+            assert np.all(bids[s <= 0] == 0.0) and np.all(bids[s > 0] > 0.0)
+            np.testing.assert_array_equal(bids[s > 0], st.closed_form_bid(s[s > 0], model, 0.4))
+            assert st.closed_form_bid(-3.0, model, 0.4) == 0.0
+
+
 def newton_root(coeffs, start):
     """Positive root of the polynomial with ``coeffs`` (highest power first).
 

@@ -66,32 +66,67 @@ class TestDerivative:
             assert wm.win_prob_derivative(model, b) == pytest.approx(fd, abs=1e-7)
 
 
+def reference_curve(bids, won, num_buckets):
+    """Per-bucket mask-and-mean: bucket k holds edges[k] <= b < edges[k+1],
+    and the last bucket also holds b == max."""
+    edges = np.linspace(0.0, bids.max(), num_buckets + 1)
+    mids, rates, counts = [], [], []
+    for k in range(num_buckets):
+        last = k == num_buckets - 1
+        mask = (bids >= edges[k]) & ((bids < edges[k + 1]) | last)
+        if mask.any():
+            mids.append(0.5 * (edges[k] + edges[k + 1]))
+            rates.append(won[mask].astype(float).mean())
+            counts.append(int(mask.sum()))
+    return np.array(mids), np.array(rates), np.array(counts)
+
+
 class TestWinCurve:
     def test_all_won(self):
-        curve = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.ones(29, bool), 5)
-        assert all(b.win_rate == 1.0 for b in curve)
+        _, rates, _ = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.ones(29, bool), 5)
+        assert np.all(rates == 1.0)
 
     def test_all_lost(self):
-        curve = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.zeros(29, bool), 5)
-        assert all(b.win_rate == 0.0 for b in curve)
+        _, rates, _ = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.zeros(29, bool), 5)
+        assert np.all(rates == 0.0)
 
     def test_counts_partition(self, rng):
-        curve = wm.empirical_win_curve(rng.uniform(0, 2, 200), rng.integers(0, 2, 200) == 1, 10)
-        assert sum(b.count for b in curve) == 200
-        mids = [b.mid_bid for b in curve]
-        assert mids == sorted(mids)
+        mids, _, counts = wm.empirical_win_curve(
+            rng.uniform(0, 2, 200), rng.integers(0, 2, 200) == 1, 10
+        )
+        assert counts.sum() == 200
+        assert np.all(np.diff(mids) > 0)
 
     def test_empty_records(self):
         with pytest.raises(wm.InsufficientDataError):
             wm.empirical_win_curve([], [], 10)
 
+    @pytest.mark.parametrize("num_buckets", [2, 7, 20, 64])
+    def test_matches_per_bucket_reference(self, num_buckets, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 400))
+            bids = rng.uniform(0.0, rng.uniform(0.1, 5.0), n)
+            bids[0] = bids.max()  # the top bid twice
+            width = bids.max() / num_buckets
+            bids = np.where(bids < width, bids + width, bids)  # bucket 0 empty
+            won = rng.random(n) < 0.4
+            curve = wm.empirical_win_curve(bids, won, num_buckets)
+            for got, want in zip(curve, reference_curve(bids, won, num_buckets)):
+                np.testing.assert_array_equal(got, want)
+            mids, _, counts = curve
+            assert mids[0] > width and counts.sum() == n
+            assert counts[-1] >= 2 and mids[-1] > bids.max() - width
+
+    def test_top_bid_in_last_bucket(self):
+        mids, rates, counts = wm.empirical_win_curve([0.1, 1.0], [False, True], 4)
+        np.testing.assert_array_equal(mids, [0.125, 0.875])
+        np.testing.assert_array_equal(rates, [0.0, 1.0])
+        np.testing.assert_array_equal(counts, [1, 1])
+
 
 def exact_curve(form, c0, num=15, hi=5.0):
-    model = WinningFunctionModel(form, c0)
-    return [
-        wm.WinCurveBucket(mid_bid=b, win_rate=wm.win_prob(model, b), count=100)
-        for b in np.linspace(hi / num, hi, num)
-    ]
+    mids = np.linspace(hi / num, hi, num)
+    return mids, wm.win_prob(WinningFunctionModel(form, c0), mids), np.full(num, 100)
 
 
 def monte_carlo_curve(form, c_star, n, rng):
@@ -119,18 +154,29 @@ class TestCalibration:
     def test_degenerate_curve(self):
         with pytest.raises(wm.InsufficientDataError):
             wm.calibrate_c(
-                [wm.WinCurveBucket(0.5, 0.0, 10), wm.WinCurveBucket(1.5, 0.0, 10)],
-                WinForm.SIMPLE,
+                (np.array([0.5, 1.5]), np.zeros(2), np.array([10, 10])), WinForm.SIMPLE
             )
 
     def test_too_few_buckets(self):
         with pytest.raises(wm.InsufficientDataError):
-            wm.calibrate_c([wm.WinCurveBucket(0.5, 0.5, 10)], WinForm.SIMPLE)
+            wm.calibrate_c((np.array([0.5]), np.array([0.5]), np.array([10])), WinForm.SIMPLE)
+
+    @pytest.mark.parametrize("form", list(WinForm))
+    def test_objective_matches_per_bucket_sum(self, form, rng):
+        curve = monte_carlo_curve(form, 1.8, 5_000, rng)
+        for c in rng.uniform(1e-3, 20.0, 50):
+            model = WinningFunctionModel(form, c)
+            ref = sum(
+                n * (wm.win_prob(model, b) - r) ** 2 for b, r, n in zip(*curve)
+            )
+            # the two sum in different orders: within len(curve) roundings
+            got = wm.calibration_objective(curve, form, c)
+            assert abs(got - ref) <= len(curve[0]) * np.finfo(float).eps * ref
 
     @pytest.mark.parametrize("form", list(WinForm))
     def test_objective_unimodal(self, form, rng):
         curve = monte_carlo_curve(form, 1.8, 5_000, rng)
-        hi = 10.0 * max(b.mid_bid for b in curve)
+        hi = 10.0 * curve[0].max()
         grid = np.linspace(1e-4, hi, 200)
         obj = np.array([wm.calibration_objective(curve, form, c) for c in grid])
         sign = np.sign(np.diff(obj))
