@@ -40,7 +40,7 @@ import yaml
 
 from . import fltrain
 from .market import ConfigurationError
-from .strategies import Strategy, StrategyParams
+from .strategies import NEEDS_THETA, Strategy, StrategyParams
 from .winmodel import WinForm
 
 
@@ -141,8 +141,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigurationError("budget must be positive")
     if cfg.budget_scale <= 0:
         raise ConfigurationError("budget_scale must be positive")
-    if cfg.bootstrap_rounds < 0:
-        raise ConfigurationError("bootstrap_rounds must be non-negative")
+    for key in ("bootstrap_rounds", "local_epochs", "estimator_epochs"):
+        if getattr(cfg, key) < 0:
+            raise ConfigurationError(f"{key} must be non-negative")
+    for key in ("fl_lr", "estimator_lr"):
+        if not getattr(cfg, key) > 0:
+            raise ConfigurationError(f"{key} must be positive")
     if not 0.0 <= cfg.noise_rate_blurred <= 1.0:
         raise ConfigurationError("noise_rate_blurred must be in [0, 1]")
     fltrain.partition_mode(cfg.partition, cfg.shards_per_owner)
@@ -158,6 +162,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for spec in cfg.agents:
         if spec.strategy in (Strategy.FBS, Strategy.FBC) and spec.form is None:
             raise ConfigurationError(f"agent {spec.name}: closed-form agents need a 'form'")
+    needy = [a.name for a in cfg.agents if a.strategy in NEEDS_THETA]
+    if cfg.bootstrap_rounds == 0 and needy:
+        raise ConfigurationError(f"bootstrap_rounds is 0 but {', '.join(needy)} need history")
     return cfg
 
 

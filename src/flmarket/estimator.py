@@ -1,9 +1,9 @@
 """Log-linear utility estimation for bid requests.
 
 A consumer predicts the utility of recruiting a data owner from the
-owner's request features q via s(q) = ln(1 + theta.q).  The parameter
-theta is fitted to realized utilities of previously won auctions with
-full-batch gradient descent on a squared-error loss.
+owner's request features q via s(q) = ln(1 + theta.q), with theta fitted to
+realized utilities of won auctions by full-batch gradient descent on a squared-error
+loss.  Each epoch is fused, and theta is bit-identical to the ``loss``/``gradient`` loop.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ import numpy as np
 
 
 class DivergenceError(RuntimeError):
-    """Fitting diverged; the caller should lower the learning rate."""
+    """Fitting diverged; the message names the rule, ``step`` its epoch (-1: backoff gave up)."""
 
-    def __init__(self, step: int):
-        super().__init__(
-            f"loss increased for 10 consecutive steps (last step {step}); "
-            "lower the learning rate"
-        )
+    def __init__(self, step: int, reason: str):
+        super().__init__(reason)
         self.step = step
 
 
@@ -60,46 +57,54 @@ def gradient(theta: np.ndarray, Q: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((np.log(z) - y) / z) @ Q
 
 
-def _project(theta, Q):
-    # scale theta down by the smallest factor restoring 1 + theta.q >= eps
-    dots = Q @ theta
-    m = dots.min()
-    if 1.0 + m < CLAMP_EPS:
-        return theta * ((CLAMP_EPS - 1.0) / m), True
-    return theta, False
-
-
 def fit(Q: np.ndarray, y: np.ndarray, params: EstimatorParams) -> np.ndarray:
     """Full-batch gradient descent from theta = 0 on won records (Q, y).
 
     ``Q`` holds one feature row per record and ``y`` its realized
     utility.  After every step theta is projected so that 1 + theta.q
     stays above the clamp floor on the training set.  Raises
-    DivergenceError if the loss increases for 10 consecutive steps.
+    DivergenceError if the loss rises for 10 consecutive steps or ends above its start.
+
+    Each epoch is fused: one dots = Q @ theta (two if projected) and one log give the
+    projection test, loss and next gradient; theta is bit-identical to ``gradient``/``loss``.
     """
     if len(y) == 0:
         raise ValueError("history is empty; need at least one won record")
     theta = np.zeros(Q.shape[1])
-    if params.epochs == 0:
-        return theta
-    prev = loss(theta, Q, y)
+    dots = Q @ theta
+    # residual r = ln z - y with z = max(1 + dots, eps), kept across epochs
+    z = np.maximum(1.0 + dots, CLAMP_EPS)
+    r = np.log(z) - y
+    loss0 = prev = 0.5 * float(np.sum(r**2))
     bad = 0
     for step in range(params.epochs):
-        theta = theta - params.learning_rate * gradient(theta, Q, y)
-        theta, projected = _project(theta, Q)
-        cur = loss(theta, Q, y)
+        theta = theta - params.learning_rate * ((r / z) @ Q)
+        np.matmul(Q, theta, out=dots)
+        m = dots.min()
+        projected = 1.0 + m < CLAMP_EPS
+        if projected:
+            # scale theta down by the smallest factor restoring the floor
+            theta = theta * ((CLAMP_EPS - 1.0) / m)
+            np.matmul(Q, theta, out=dots)
+        np.add(dots, 1.0, out=z)
+        if not 1.0 + m >= CLAMP_EPS:  # rounding is monotone: else the floor is a no-op
+            np.maximum(z, CLAMP_EPS, out=z)
+        np.subtract(np.log(z, out=r), y, out=r)
+        cur = 0.5 * float(np.sum(r**2))  # == loss(theta, Q, y): (a - y)^2 == (y - a)^2
         # a step pinned to the clamp floor without improving counts as
         # divergent too: the iterate overshot and is stuck
         if cur > prev or (projected and cur >= prev):
             bad += 1
             if bad >= 10:
-                raise DivergenceError(step)
+                raise DivergenceError(step, f"loss rose for 10 consecutive steps up to step {step}")
         else:
             bad = 0
         prev = cur
-    if prev > loss(np.zeros_like(theta), Q, y):
+    if prev > loss0:
         # overshot into a worse basin than the starting point
-        raise DivergenceError(params.epochs - 1)
+        raise DivergenceError(
+            params.epochs - 1, f"final loss {prev!r} is above {loss0!r}, the loss at theta = 0"
+        )
     return theta
 
 
@@ -130,4 +135,4 @@ def fit_with_backoff(Q, y, params: EstimatorParams, max_retries: int = 8):
             return fit(Q, y, trial), trial
         except DivergenceError:
             lr /= 4.0
-    raise DivergenceError(-1)
+    raise DivergenceError(-1, f"backoff exhausted after {max_retries} rates, the last {lr * 4.0!r}")

@@ -36,10 +36,9 @@ from .market import (
     generate_do_pool,
     run_market,
 )
-from .strategies import LambdaSolution, Strategy, solve_lambda
+from .strategies import NEEDS_THETA, LambdaSolution, Strategy, solve_lambda
 from .winmodel import WinningFunctionModel, calibrate_c, empirical_win_curve
 
-_NEEDS_THETA = (Strategy.BMUB, Strategy.LIN, Strategy.FBS, Strategy.FBC)
 _CLOSED_FORM = (Strategy.FBS, Strategy.FBC)
 
 # One row per auction an agent bid in; utility is NaN where it lost.
@@ -75,12 +74,6 @@ def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
     Bootstrap budgets are unconstrained: the warm-up exists to explore
     the bid range, not to spend real money.
     """
-    needy = [a for a in cfg.agents if a.strategy in _NEEDS_THETA]
-    if cfg.bootstrap_rounds == 0 and needy:
-        raise ConfigurationError(
-            "bootstrap_rounds is 0 but these agents need history: "
-            + ", ".join(a.name for a in needy)
-        )
     params = cfg.strategy_params()
     names = [a.name for a in cfg.agents]
     n = len(pool)
@@ -109,7 +102,7 @@ def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
     for spec in cfg.agents:
         history = histories[spec.name]
         cal = AgentCalibration(history=history)
-        if spec.strategy in _NEEDS_THETA:
+        if spec.strategy in NEEDS_THETA:
             won = history[history["won"]]
             if len(won) == 0:
                 raise ConfigurationError(
@@ -277,6 +270,8 @@ def write_calibration_report(path, cfg: RunConfig, calibration: dict):
             entry["lambda"] = sol.lam
             entry["expected_spend_per_request"] = sol.expected_spend_per_request
             entry["spend_target"] = sol.target
+            if sol.note is not None:
+                entry["lambda_note"] = sol.note
         report["agents"][name] = entry
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 

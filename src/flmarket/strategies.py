@@ -32,6 +32,9 @@ class Strategy(str, Enum):
     FBC = "fbc"
 
 
+NEEDS_THETA = (Strategy.BMUB, Strategy.LIN, Strategy.FBS, Strategy.FBC)  # bid from s(q)
+
+
 @dataclass
 class StrategyParams:
     const_bid: float = 0.5

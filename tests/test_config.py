@@ -159,3 +159,35 @@ def test_cli_rejects_bad_value_before_running(tmp_path, capsys, key, value):
     assert main(["--out", str(out), "run", str(path)]) == 2
     assert key in capsys.readouterr().err
     assert not list(tmp_path.rglob("market_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("estimator_lr", -0.05, "positive"),
+        ("estimator_lr", 0, "positive"),
+        ("estimator_lr", float("nan"), "positive"),
+        ("fl_lr", -1, "positive"),
+        ("fl_lr", 0, "positive"),
+        ("estimator_epochs", -3, "non-negative"),
+        ("local_epochs", -1, "non-negative"),
+        ("bootstrap_rounds", 0, "bmub, lin, fbs, fbc need history"),
+    ],
+)
+def test_bad_training_values_rejected(key, value, message):
+    with pytest.raises(ConfigurationError, match=f"{key}.*{message}"):
+        config_from_mapping({"master_seed": 1, key: value})
+
+
+def test_zero_bootstrap_rounds_without_needy_agents():
+    agents = [{"name": "c", "strategy": "const"}, {"name": "r", "strategy": "rand"}]
+    cfg = config_from_mapping({"master_seed": 1, "bootstrap_rounds": 0, "agents": agents})
+    assert cfg.bootstrap_rounds == 0
+
+
+def test_cli_rejects_zero_bootstrap_rounds_before_creating_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"master_seed": 1, "train_fl": False, "bootstrap_rounds": 0})
+    assert main(["--out", str(out), "run", str(path)]) == 2
+    assert "bootstrap_rounds" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,6 +10,41 @@ from flmarket.market import DataOwner, Quality
 from conftest import assert_matches_row_predict, central_difference, make_history
 
 
+def _project(theta, Q):
+    # scale theta down by the smallest factor restoring 1 + theta.q >= eps
+    dots = Q @ theta
+    m = dots.min()
+    if 1.0 + m < est.CLAMP_EPS:
+        return theta * ((est.CLAMP_EPS - 1.0) / m), True
+    return theta, False
+
+
+def reference_fit(Q, y, params):
+    """The unfused loop: step with est.gradient, project, check with est.loss.
+
+    Returns (theta, None, projected steps) on success and (None, step,
+    projected steps) where a divergence rule fires.
+    """
+    theta = np.zeros(Q.shape[1])
+    prev = est.loss(theta, Q, y)
+    bad = projections = 0
+    for step in range(params.epochs):
+        theta = theta - params.learning_rate * est.gradient(theta, Q, y)
+        theta, projected = _project(theta, Q)
+        projections += projected
+        cur = est.loss(theta, Q, y)
+        if cur > prev or (projected and cur >= prev):
+            bad += 1
+            if bad >= 10:
+                return None, step, projections
+        else:
+            bad = 0
+        prev = cur
+    if prev > est.loss(np.zeros_like(theta), Q, y):
+        return None, params.epochs - 1, projections
+    return theta, None, projections
+
+
 class TestPredict:
     def test_zero_theta(self, rng):
         q = np.array([1.0, rng.uniform(), rng.uniform()])
@@ -127,10 +162,42 @@ class TestFit:
         prev = est.loss(theta, Q, y)
         for _ in range(2000):
             theta = theta - 0.01 * est.gradient(theta, Q, y)
-            theta, _ = est._project(theta, Q)
+            theta, _ = _project(theta, Q)
             cur = est.loss(theta, Q, y)
             assert cur <= prev + 1e-12
             prev = cur
+
+
+    @pytest.mark.parametrize(
+        "theta_star,rows,lr,outcome",
+        [
+            ([0.5, 1.0, 2.0], 1, 0.05, "converged"),
+            ([0.5, 1.0, 2.0], 20, 0.05, "converged"),
+            ([0.5, 1.0, 2.0], 500, 0.0125, "converged"),
+            ([-0.2, 0.5, -1.0], 20, 0.001, "projected"),
+            ([-0.1, -0.5, -0.9], 20, 0.05, "10 consecutive"),
+            ([0.0, -0.5, -0.5], 20, 0.004, "10 consecutive"),
+            ([0.5, 1.0, 2.0], 500, 0.05, "theta = 0"),
+        ],
+    )
+    def test_bit_identical_to_reference_loop(self, rng, theta_star, rows, lr, outcome):
+        Q, y = make_history(theta_star, rows, rng)
+        params = EstimatorParams(learning_rate=lr, epochs=5000)
+        theta, step, projections = reference_fit(Q, y, params)
+        if step is None:
+            np.testing.assert_array_equal(est.fit(Q, y, params), theta)
+            assert (projections > 0) == (outcome == "projected")
+        else:
+            with pytest.raises(est.DivergenceError, match=outcome) as exc:
+                est.fit(Q, y, params)
+            assert exc.value.step == step
+            assert (step == params.epochs - 1) == (outcome == "theta = 0")
+
+    def test_backoff_exhaustion_names_last_rate(self, rng):
+        Q, y = make_history([-0.2, 0.5, -1.0], 20, rng)
+        with pytest.raises(est.DivergenceError, match="after 2 rates, the last 0.0125") as exc:
+            est.fit_with_backoff(Q, y, EstimatorParams(0.05, 300), max_retries=2)
+        assert exc.value.step == -1
 
 
 class TestTrueUtility:

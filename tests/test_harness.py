@@ -1,12 +1,14 @@
 import csv
+import functools
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from flmarket import estimator
+from flmarket import estimator, experiment
 from flmarket.cli import main
 from flmarket.config import RunConfig, default_agent_lineup
 from flmarket.experiment import (
@@ -150,6 +152,18 @@ class TestRunExperiment:
             assert entry["c"] > 0
             assert entry["lambda"] >= 0
             assert "estimator_final_loss" in entry
+
+    def test_calibration_report_lambda_note(self, tmp_path, monkeypatch):
+        cfg = small_config(out=str(tmp_path / "full"), train_fl=False)
+        full = json.loads(run_experiment(cfg).calibration_report.read_text())["agents"]
+        short = functools.partial(experiment.solve_lambda, max_iterations=1)
+        monkeypatch.setattr(experiment, "solve_lambda", short)
+        art = run_experiment(replace(cfg, output_dir=str(tmp_path / "short")))
+        report = json.loads(art.calibration_report.read_text())["agents"]
+        for name in ("fbs", "fbc"):
+            assert "lambda_note" not in full[name]
+            assert "max_iterations=1" in report[name]["lambda_note"]
+            assert report[name]["lambda_note"] == art.calibration[name].lambda_solution.note
 
 
 class TestCli:
