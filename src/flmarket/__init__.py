@@ -5,16 +5,12 @@ from .config import AgentSpec, RunConfig, parse_config
 from .estimator import EstimatorParams, predict, true_utility
 from .experiment import RunArtifacts, bootstrap_history, run_experiment
 from .market import (
-    AuctionOutcome,
-    BidRequest,
     ConsumerAgent,
     DataOwner,
     MarketResult,
     Quality,
     compute_metrics,
     generate_do_pool,
-    make_bid_request,
-    run_auction,
     run_market,
 )
 from .strategies import (

@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import parse_config
+from .estimator import DivergenceError
 from .experiment import emit_plots, run_experiment
 from .market import ConfigurationError
 
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, DivergenceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,8 @@ Schema (all keys optional except master_seed):
     agents:                     # optional; defaults to the six-agent lineup
       - {name: fbs, strategy: fbs, form: simple}
 
-Unknown keys are rejected (with a closest-match suggestion).  The clamp
+Unknown keys, and values of the wrong type (a bool is not a number), are
+rejected (with a closest-match suggestion for a key).  The clamp
 floor on 1 + theta.q is estimator.CLAMP_EPS (1e-6), not a key.  Each
 agent's bootstrap history is one structured array (q, bid, won, utility)
 of bootstrap_rounds * pool_size rows.
@@ -125,8 +126,8 @@ def _parse_agent(raw, index: int) -> AgentSpec:
     elif strategy is Strategy.FBC:
         form = WinForm.COMPLEX
     budget = raw.get("budget")
-    if budget is not None and float(budget) <= 0:
-        raise ConfigurationError(f"agents[{index}]: budget must be positive")
+    if budget is not None and not (_has_type(budget, "float") and budget > 0):
+        raise ConfigurationError(f"agents[{index}]: budget must be a positive number")
     name = str(raw.get("name", strategy.value))
     return AgentSpec(name, strategy, form, None if budget is None else float(budget))
 
@@ -168,6 +169,17 @@ def _validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
+# the Python types a YAML value of each scalar annotation may have, and their name
+_SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+            "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a YAML value fits a field annotation; a bool is not a number."""
+    kinds = _SCALARS.get(annotation, (object,))[0]
+    return isinstance(value, kinds) and (annotation == "bool" or not isinstance(value, bool))
+
+
 def config_from_mapping(raw: dict) -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
     for key in raw:
@@ -177,12 +189,16 @@ def config_from_mapping(raw: dict) -> RunConfig:
             raise ConfigurationError(f"unknown config key {key!r}{suffix}")
     if "master_seed" not in raw:
         raise ConfigurationError("missing required key 'master_seed'")
+    for f in fields(RunConfig):
+        if f.name in raw and not _has_type(raw[f.name], f.type):
+            raise ConfigurationError(f"{f.name} must be {_SCALARS[f.type][1]}, got {raw[f.name]!r}")
     kwargs = dict(raw)
     if "sample_range" in kwargs:
         sr = kwargs["sample_range"]
-        if not (isinstance(sr, (list, tuple)) and len(sr) == 2):
-            raise ConfigurationError("sample_range must be a [min, max] pair")
-        kwargs["sample_range"] = (int(sr[0]), int(sr[1]))
+        if not (isinstance(sr, (list, tuple)) and len(sr) == 2
+                and all(_has_type(v, "int") for v in sr)):
+            raise ConfigurationError("sample_range must be a [min, max] pair of integers")
+        kwargs["sample_range"] = tuple(sr)
     if "agents" in kwargs:
         agents = kwargs["agents"]
         if not isinstance(agents, list):

@@ -8,6 +8,7 @@ loss.  Each epoch is fused, and theta is bit-identical to the ``loss``/``gradien
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,8 @@ def fit(Q: np.ndarray, y: np.ndarray, params: EstimatorParams) -> np.ndarray:
     ``Q`` holds one feature row per record and ``y`` its realized
     utility.  After every step theta is projected so that 1 + theta.q
     stays above the clamp floor on the training set.  Raises
-    DivergenceError if the loss rises for 10 consecutive steps or ends above its start.
+    DivergenceError if the loss turns non-finite, rises for 10 consecutive
+    steps or ends above its start.
 
     Each epoch is fused: one dots = Q @ theta (two if projected) and one log give the
     projection test, loss and next gradient; theta is bit-identical to ``gradient``/``loss``.
@@ -91,6 +93,8 @@ def fit(Q: np.ndarray, y: np.ndarray, params: EstimatorParams) -> np.ndarray:
             np.maximum(z, CLAMP_EPS, out=z)
         np.subtract(np.log(z, out=r), y, out=r)
         cur = 0.5 * float(np.sum(r**2))  # == loss(theta, Q, y): (a - y)^2 == (y - a)^2
+        if not math.isfinite(cur):
+            raise DivergenceError(step, f"loss is {cur!r} at step {step}")
         # a step pinned to the clamp floor without improving counts as
         # divergent too: the iterate overshot and is stuck
         if cur > prev or (projected and cur >= prev):

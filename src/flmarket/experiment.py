@@ -34,6 +34,7 @@ from .market import (
     MetricsReport,
     compute_metrics,
     generate_do_pool,
+    request_features,
     run_market,
 )
 from .strategies import NEEDS_THETA, LambdaSolution, Strategy, solve_lambda
@@ -78,23 +79,22 @@ def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
     names = [a.name for a in cfg.agents]
     n = len(pool)
     histories = {name: np.empty(cfg.bootstrap_rounds * n, HISTORY_DTYPE) for name in names}
-    utility = {o.id: estimator.true_utility(o) for o in pool}
+    utility = np.zeros(max(o.id for o in pool) + 1)  # indexed by owner id
+    utility[[o.id for o in pool]] = [estimator.true_utility(o) for o in pool]
+    boot_agents = [
+        ConsumerAgent(name=name, strategy=Strategy.RAND, budget=math.inf, params=params)
+        for name in names
+    ]
     for r in range(cfg.bootstrap_rounds):
-        boot_agents = [
-            ConsumerAgent(name=name, strategy=Strategy.RAND, budget=math.inf, params=params)
-            for name in names
-        ]
-        outcomes = run_market(boot_agents, pool, rng.spawn(1)[0]).outcomes
+        out = run_market(boot_agents, pool, rng.spawn(1)[0]).outcomes
         # every agent bids in every auction: budgets are unlimited
-        Q = np.stack([o.request.features for o in outcomes])
-        bids = np.array([[o.bids[name] for name in names] for o in outcomes])
-        winner = np.array([o.winner for o in outcomes], dtype=object)
-        u = np.array([utility[o.request.owner_id] for o in outcomes])
+        Q = request_features(out["owner_id"], out["num_samples"], n)
+        u = utility[out["owner_id"]]
         for j, name in enumerate(names):
             rows = histories[name][r * n : (r + 1) * n]
             rows["q"] = Q
-            rows["bid"] = bids[:, j]
-            rows["won"] = winner == name
+            rows["bid"] = out["bids"][:, j]
+            rows["won"] = out["winner"] == j
             rows["utility"] = np.where(rows["won"], u, np.nan)
 
     calibration = {}
@@ -162,8 +162,8 @@ def train_federated(cfg: RunConfig, pool, result: MarketResult, rng: np.random.G
 
     owners = {o.id: o for o in pool}
     accuracy = {}
-    for name in result.agent_names:
-        won_ids = sorted(o.request.owner_id for o in result.wins[name])
+    for j, name in enumerate(result.agent_names):
+        won_ids = np.sort(result.outcomes["owner_id"][result.outcomes["winner"] == j]).tolist()
         if not won_ids:
             accuracy[name] = None
             continue
@@ -216,18 +216,16 @@ def summary_csv_header(partition: str) -> list:
     ]
 
 
-def write_market_csv(path, cfg: RunConfig, pool, result: MarketResult):
-    owners = {o.id: o for o in pool}
+def write_market_csv(path, result: MarketResult):
     names = result.agent_names
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(market_csv_header(names))
-        for i, outcome in enumerate(result.outcomes):
-            oid = outcome.request.owner_id
-            row = [i, oid, owners[oid].num_samples]
-            row += [_fmt(outcome.bids.get(n)) for n in names]
-            row += [_fmt(outcome.winner), _fmt(outcome.clearing_price)]
-            w.writerow(row)
+        out = result.outcomes
+        columns = [out[c].tolist() for c in ("owner_id", "num_samples", "bids", "winner", "price")]
+        for i, (oid, n, bids, winner, price) in enumerate(zip(*columns)):
+            cells = ["" if math.isnan(b) else repr(b) for b in bids]
+            w.writerow([i, oid, n, *cells, names[winner] if winner >= 0 else "", repr(price)])
 
 
 def write_summary_csv(path, cfg: RunConfig, metrics: MetricsReport, accuracy: dict):
@@ -302,7 +300,7 @@ def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifa
     market_csv = out / f"market_{tag}.csv"
     summary_csv = out / f"summary_{tag}.csv"
     calibration_report = out / f"calibration_{tag}.json"
-    write_market_csv(market_csv, cfg, pool, result)
+    write_market_csv(market_csv, result)
     write_summary_csv(summary_csv, cfg, metrics, accuracy)
     write_calibration_report(calibration_report, cfg, calibration)
     (out / f"config_echo_{tag}.json").write_text(

@@ -5,6 +5,9 @@ agents bid on requests in a seeded random order; the highest positive
 bid wins and the winner pays its own bid (first-price).  Bids above an
 agent's remaining budget are clamped to the remaining budget, so spend
 never exceeds the budget.
+
+Raw bids never depend on budget state, so the market computes them as
+one column per agent up front; the loop only clamps and clears.
 """
 
 from __future__ import annotations
@@ -46,20 +49,13 @@ class DataOwner:
     local_seed: int
 
 
-@dataclass(frozen=True)
-class BidRequest:
-    owner_id: int
-    features: np.ndarray
-
-
 @dataclass
 class ConsumerAgent:
-    """One data consumer: identity, budget state and decision parameters."""
+    """One data consumer: identity, budget and decision parameters."""
 
     name: str
     strategy: Strategy
     budget: float
-    remaining_budget: float = field(default=None)  # type: ignore[assignment]
     params: StrategyParams = field(default_factory=StrategyParams)
     theta: Optional[np.ndarray] = None
     win_model: Optional[WinningFunctionModel] = None
@@ -70,25 +66,19 @@ class ConsumerAgent:
             raise ConfigurationError(f"budget must be positive for agent {self.name}")
         if self.lam < 0:
             raise ConfigurationError("lambda must be non-negative")
-        if self.remaining_budget is None:
-            self.remaining_budget = self.budget
 
 
-@dataclass
-class AuctionOutcome:
-    request: BidRequest
-    bids: dict
-    winner: Optional[str]
-    clearing_price: float
+def outcome_dtype(num_agents: int) -> np.dtype:
+    """One row per auction; ``bids`` is NaN for an agent with no budget left and
+    ``winner`` is the winning agent's index, or -1 when the owner went unsold."""
+    return np.dtype([("owner_id", np.int64), ("num_samples", np.int64),
+                     ("bids", float, (num_agents,)), ("winner", np.int64), ("price", float)])
 
 
 @dataclass
 class MarketResult:
-    outcomes: list
     agent_names: list
-    wins: dict  # agent name -> list[AuctionOutcome]
-    spend: dict  # agent name -> float
-    samples: dict  # agent name -> int
+    outcomes: np.ndarray  # outcome_dtype rows in auction order
 
 
 @dataclass
@@ -129,35 +119,22 @@ def generate_do_pool(
     return pool
 
 
-def make_bid_request(owner: DataOwner, pool_size: int) -> BidRequest:
-    """Features: [1.0 bias, id/P, num_samples/10000]."""
-    q = np.array([1.0, owner.id / pool_size, owner.num_samples / 10000.0])
-    return BidRequest(owner_id=owner.id, features=q)
+def request_features(owner_id, num_samples, pool_size: int) -> np.ndarray:
+    """One row per request: [1.0 bias, id/P, num_samples/10000]."""
+    owner_id = np.asarray(owner_id)
+    return np.column_stack(
+        [np.ones(len(owner_id)), owner_id / pool_size, np.asarray(num_samples) / 10000.0]
+    )
 
 
-def run_auction(
-    request: BidRequest, bids: dict, tie_rng: np.random.Generator
-) -> AuctionOutcome:
-    """First-price sealed-bid auction; ties broken by a seeded uniform draw."""
-    positive = {name: b for name, b in bids.items() if b > 0}
-    if not positive:
-        return AuctionOutcome(request, dict(bids), None, 0.0)
-    best = max(positive.values())
-    top = sorted(name for name, b in positive.items() if b == best)
-    winner = top[0] if len(top) == 1 else top[int(tie_rng.integers(len(top)))]
-    return AuctionOutcome(request, dict(bids), winner, best)
-
-
-def compute_raw_bid(
-    agent: ConsumerAgent, request: BidRequest, rng: np.random.Generator
-) -> float:
-    """The agent's bid before budget clamping."""
+def _raw_bids(agent: ConsumerAgent, Q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The agent's bid on every request (rows of ``Q``) before budget clamping."""
     st = agent.strategy
     if st is Strategy.CONST:
-        return bid_const(agent.params)
+        return bid_const(agent.params, len(Q))
     if st is Strategy.RAND:
-        return bid_rand(agent.params, rng)
-    s = estimator.predict(agent.theta, request.features)
+        return bid_rand(agent.params, rng, len(Q))
+    s = estimator.predict(agent.theta, Q)
     if st is Strategy.BMUB:
         return bid_bmub(s, rng)
     if st is Strategy.LIN:
@@ -174,7 +151,8 @@ def run_market(
 
     Strategy randomness is drawn for every agent at every request
     (regardless of budget state) so bid streams stay aligned across
-    runs that differ only in one agent's budget.
+    runs that differ only in one agent's budget.  The agents are not
+    modified: the remaining budgets live in the clearing loop.
     """
     if len(agents) == 0 or len(pool) == 0:
         raise ConfigurationError("need at least one agent and one owner")
@@ -182,43 +160,40 @@ def run_market(
     if len(set(names)) != len(names):
         raise ConfigurationError("agent names must be unique")
     order_rng, tie_rng, *agent_rngs = rng.spawn(2 + len(agents))
-    owners = {o.id: o for o in pool}
-    requests = [make_bid_request(o, len(pool)) for o in pool]
-    order = order_rng.permutation(len(requests))
+    order = order_rng.permutation(len(pool))
 
-    wins = {n: [] for n in names}
-    spend = {n: 0.0 for n in names}
-    samples = {n: 0 for n in names}
-    outcomes = []
-    for k in order:
-        request = requests[k]
-        bids = {}
-        for agent, arng in zip(agents, agent_rngs):
-            raw = compute_raw_bid(agent, request, arng)
-            if agent.remaining_budget <= 0:
-                continue
-            bids[agent.name] = min(raw, agent.remaining_budget)
-        outcome = run_auction(request, bids, tie_rng)
-        outcomes.append(outcome)
-        if outcome.winner is not None:
-            winner = next(a for a in agents if a.name == outcome.winner)
-            winner.remaining_budget -= outcome.clearing_price
-            wins[winner.name].append(outcome)
-            spend[winner.name] += outcome.clearing_price
-            samples[winner.name] += owners[request.owner_id].num_samples
-    return MarketResult(outcomes, names, wins, spend, samples)
+    out = np.zeros(len(pool), outcome_dtype(len(agents)))
+    out["owner_id"] = np.array([o.id for o in pool])[order]
+    out["num_samples"] = np.array([o.num_samples for o in pool])[order]
+    Q = request_features(out["owner_id"], out["num_samples"], len(pool))
+    raw = np.column_stack([_raw_bids(a, Q, r) for a, r in zip(agents, agent_rngs)])
+
+    remaining = [a.budget for a in agents]
+    by_name = sorted(range(len(names)), key=names.__getitem__)  # tie order
+    cleared = []
+    for row in raw.tolist():
+        live = [min(b, left) if left > 0 else math.nan for b, left in zip(row, remaining)]
+        best = max((b for b in live if b > 0), default=0.0)
+        j = -1
+        if best > 0:
+            top = [i for i in by_name if live[i] == best]
+            j = top[0] if len(top) == 1 else top[int(tie_rng.integers(len(top)))]
+            remaining[j] -= best
+        cleared.append((live, j, best))
+    out["bids"], out["winner"], out["price"] = zip(*cleared)
+    return MarketResult(names, out)
 
 
 def compute_metrics(result: MarketResult) -> MetricsReport:
+    """Wins, samples and spend per agent; spend adds prices in auction order."""
+    sold = result.outcomes[result.outcomes["winner"] >= 0]
+    n = len(result.agent_names)
+    wins = np.bincount(sold["winner"], minlength=n)
+    samples = np.bincount(sold["winner"], weights=sold["num_samples"], minlength=n)
+    spend = np.bincount(sold["winner"], weights=sold["price"], minlength=n)
     per_agent = {}
-    for name in result.agent_names:
-        total = result.samples[name]
-        sp = result.spend[name]
-        up = sp / (total / 1000.0) if total > 0 else None
-        per_agent[name] = AgentMetrics(
-            num_owners_won=len(result.wins[name]),
-            total_samples=total,
-            spend=sp,
-            unit_price_per_1000=up,
-        )
+    for j, name in enumerate(result.agent_names):
+        total, sp = int(samples[j]), float(spend[j])
+        unit_price = sp / (total / 1000.0) if total > 0 else None
+        per_agent[name] = AgentMetrics(int(wins[j]), total, sp, unit_price)
     return MetricsReport(per_agent=per_agent)

@@ -56,23 +56,29 @@ class LambdaSolution:
     note: Optional[str] = None
 
 
-def bid_const(params: StrategyParams) -> float:
-    return params.const_bid
+# The baselines bid on a column of requests: one draw per request from the
+# agent's stream, in request order; bmub draws nothing where s <= 0.
 
 
-def bid_rand(params: StrategyParams, rng: np.random.Generator) -> float:
+def bid_const(params: StrategyParams, n: int) -> np.ndarray:
+    return np.full(n, float(params.const_bid))
+
+
+def bid_rand(params: StrategyParams, rng: np.random.Generator, n: int) -> np.ndarray:
     # uniform on (0, rand_max]
-    return params.rand_max - float(rng.uniform(0.0, params.rand_max))
+    return params.rand_max - rng.uniform(0.0, params.rand_max, n)
 
 
-def bid_bmub(s: float, rng: np.random.Generator) -> float:
-    if s <= 0:
-        return 0.0
-    return s - float(rng.uniform(0.0, s))
+def bid_bmub(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    b = np.zeros_like(s)
+    pos = s > 0
+    b[pos] = s[pos] - rng.uniform(0.0, s[pos])
+    return b
 
 
-def bid_lin(s: float, params: StrategyParams) -> float:
-    return params.lin_coef * max(s, 0.0)
+def bid_lin(s: np.ndarray, params: StrategyParams) -> np.ndarray:
+    return params.lin_coef * np.maximum(s, 0.0)
 
 
 def _check_closed_form_args(s: np.ndarray, c, lam):

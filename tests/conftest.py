@@ -22,8 +22,8 @@ def make_history(theta_star, num_records, rng, feature_scale=1.0):
     return Q, est.predict(np.asarray(theta_star, dtype=float), Q)
 
 
-def assert_matches_row_predict(theta, Q, s):
-    """Matrix predict equals per-row predict up to the rounding of theta.q.
+def row_predict_bound(theta, Q):
+    """Per-row predict of each row of Q, and how far the matrix predict may differ.
 
     The two sum theta.q in different orders.  Each is within 1.5 eps *
     sum |theta_i q_i| of the exact dot product, the log turns an error dz
@@ -32,7 +32,12 @@ def assert_matches_row_predict(theta, Q, s):
     eps = np.finfo(float).eps
     rows = np.array([est.predict(theta, q) for q in Q])
     z = np.exp(rows)
-    bound = eps * (3.0 * (np.abs(Q) @ np.abs(theta)) + z) / z + eps * np.abs(rows)
+    return rows, eps * (3.0 * (np.abs(Q) @ np.abs(theta)) + z) / z + eps * np.abs(rows)
+
+
+def assert_matches_row_predict(theta, Q, s):
+    """Matrix predict equals per-row predict up to the rounding of theta.q."""
+    rows, bound = row_predict_bound(theta, Q)
     assert np.all(np.abs(s - rows) <= bound)
 
 

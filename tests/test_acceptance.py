@@ -131,10 +131,11 @@ def test_criterion_7_budget_safety_and_determinism(tmp_path):
     budgets = {ag.name: a.config.scaled_budget(ag) for ag in a.config.agents}
     running = {n: 0.0 for n in budgets}
     safe = True
-    for outcome in a.result.outcomes:
-        if outcome.winner is not None:
-            running[outcome.winner] += outcome.clearing_price
-            safe = safe and running[outcome.winner] <= budgets[outcome.winner]
+    for j, price in zip(a.result.outcomes["winner"].tolist(), a.result.outcomes["price"].tolist()):
+        if j >= 0:
+            winner = a.result.agent_names[j]
+            running[winner] += price
+            safe = safe and running[winner] <= budgets[winner]
     report(7, identical and safe, f"byte-identical reruns {identical}, prefix budget safety {safe}")
 
 

@@ -152,7 +152,34 @@ def test_iid_ignores_shards_per_owner():
     assert config_from_mapping({"master_seed": 1, "shards_per_owner": 0}).shards_per_owner == 0
 
 
-@pytest.mark.parametrize("key,value", [("num_buckets", 1), ("const_bid", -1)])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("budget", "fifty"),
+        ("pool_size", "100"),
+        ("estimator_lr", "1e-3"),  # YAML 1.1 reads 1e-3 without a dot as a string
+        ("num_buckets", 2.5),
+        ("const_bid", True),
+        ("master_seed", None),
+        ("train_fl", "no"),
+        ("train_fl", 1),
+        ("output_dir", 5),
+        ("sample_range", ["1000", 10000]),
+    ],
+)
+def test_wrong_value_type_names_key(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        config_from_mapping({"master_seed": 1, key: value})
+
+
+def test_agent_budget_must_be_a_number():
+    with pytest.raises(ConfigurationError, match="agents\\[0\\]: budget"):
+        config_from_mapping(
+            {"master_seed": 1, "agents": [{"name": "x", "strategy": "const", "budget": "ten"}]}
+        )
+
+
+@pytest.mark.parametrize("key,value", [("num_buckets", 1), ("const_bid", -1), ("budget", "fifty")])
 def test_cli_rejects_bad_value_before_running(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     path = write_config(tmp_path, {"master_seed": 1, "train_fl": False, key: value})

@@ -193,6 +193,14 @@ class TestFit:
             assert exc.value.step == step
             assert (step == params.epochs - 1) == (outcome == "theta = 0")
 
+    def test_non_finite_loss_diverges(self, rng):
+        # the first step overflows theta, so the loss is inf or NaN
+        Q, y = make_history([0.5, 1.0, 2.0], 20, rng)
+        with pytest.raises(est.DivergenceError, match="loss is (nan|inf)") as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                est.fit(Q, y, EstimatorParams(learning_rate=1e308, epochs=50))
+        assert 0 <= exc.value.step < 50
+
     def test_backoff_exhaustion_names_last_rate(self, rng):
         Q, y = make_history([-0.2, 0.5, -1.0], 20, rng)
         with pytest.raises(est.DivergenceError, match="after 2 rates, the last 0.0125") as exc:

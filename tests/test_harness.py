@@ -196,6 +196,15 @@ class TestCli:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_divergent_fit_is_reported(self, tmp_path, capsys):
+        # every learning rate of the backoff diverges, so the run stops in the fit
+        cfg = self._write_cfg(tmp_path, pool_size=10, estimator_lr=1.0e30)
+        rc = main(["--out", str(tmp_path / "out"), "run", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: backoff exhausted after 8 rates")
+        assert not list(tmp_path.rglob("market_*.csv"))
+
     def test_sweep(self, tmp_path):
         self._write_cfg(tmp_path)
         rc = main(["--out", str(tmp_path / "sweep_out"), "sweep", str(tmp_path)])

@@ -3,17 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from flmarket import estimator as est
+from flmarket import strategies as st
 from flmarket.market import (
     ConfigurationError,
     ConsumerAgent,
+    MarketResult,
     Quality,
     compute_metrics,
     generate_do_pool,
-    make_bid_request,
-    run_auction,
+    outcome_dtype,
+    request_features,
     run_market,
 )
 from flmarket.strategies import Strategy, StrategyParams
+from flmarket.winmodel import WinForm, WinningFunctionModel
+
+from conftest import row_predict_bound
+
+ROW_PREDICT = est.predict  # the one-request form, kept while a test patches est.predict
 
 
 def const_agent(name="a", budget=1.0, bid=0.6):
@@ -23,6 +31,112 @@ def const_agent(name="a", budget=1.0, bid=0.6):
         budget=budget,
         params=StrategyParams(const_bid=bid),
     )
+
+
+def rand_agent(name, budget, rand_max=1.0):
+    return ConsumerAgent(name, Strategy.RAND, budget, params=StrategyParams(rand_max=rand_max))
+
+
+def winner_names(result):
+    return [result.agent_names[j] if j >= 0 else None for j in result.outcomes["winner"]]
+
+
+def scalar_raw_bid(agent, q, rng):
+    """One agent's bid on one request, drawn as the per-auction market did."""
+    p = agent.params
+    if agent.strategy is Strategy.CONST:
+        return p.const_bid
+    if agent.strategy is Strategy.RAND:
+        return p.rand_max - float(rng.uniform(0.0, p.rand_max))
+    s = ROW_PREDICT(agent.theta, q)
+    if agent.strategy is Strategy.BMUB:
+        return 0.0 if s <= 0 else s - float(rng.uniform(0.0, s))
+    if agent.strategy is Strategy.LIN:
+        return p.lin_coef * max(s, 0.0)
+    bid = st.bid_fbs if agent.strategy is Strategy.FBS else st.bid_fbc
+    return bid(max(s, 0.0), agent.win_model.c, agent.lam)
+
+
+def reference_market(agents, pool, rng):
+    """The per-auction market: a feature row, a dict of bids and one clearing per request."""
+    names = [a.name for a in agents]
+    order_rng, tie_rng, *agent_rngs = rng.spawn(2 + len(agents))
+    remaining = {a.name: a.budget for a in agents}
+    out = np.zeros(len(pool), outcome_dtype(len(agents)))
+    for i, k in enumerate(order_rng.permutation(len(pool))):
+        owner = pool[k]
+        q = np.array([1.0, owner.id / len(pool), owner.num_samples / 10000.0])
+        bids = {}
+        for agent, arng in zip(agents, agent_rngs):
+            raw = scalar_raw_bid(agent, q, arng)
+            if remaining[agent.name] > 0:
+                bids[agent.name] = min(raw, remaining[agent.name])
+        positive = {n: b for n, b in bids.items() if b > 0}
+        winner, price = -1, 0.0
+        if positive:
+            price = max(positive.values())
+            top = sorted(n for n, b in positive.items() if b == price)
+            name = top[0] if len(top) == 1 else top[int(tie_rng.integers(len(top)))]
+            remaining[name] -= price
+            winner = names.index(name)
+        out[i] = (owner.id, owner.num_samples, [bids.get(n, math.nan) for n in names], winner, price)
+    return out
+
+
+def random_agents(seed, strategies):
+    """One agent per strategy plus two more, in random order; sorted names run backwards.
+
+    Every const agent bids the same, so exact ties reach the tie draw.
+    """
+    g = np.random.default_rng(seed)
+    kinds = list(strategies) + [strategies[i] for i in g.integers(len(strategies), size=2)]
+    kinds = [kinds[i] for i in g.permutation(len(kinds))]
+    const_bid = float(g.choice([0.3, 0.5]))
+    agents = []
+    for i, kind in enumerate(kinds):
+        form = WinForm.SIMPLE if kind is Strategy.FBS else WinForm.COMPLEX
+        agents.append(
+            ConsumerAgent(
+                name=f"{'zyxwvutsrq'[i]}_{kind.value}",
+                strategy=kind,
+                budget=float(g.uniform(0.3, 3.0)),
+                params=StrategyParams(const_bid, float(g.uniform(0.1, 1.0)), float(g.uniform(0.2, 1.5))),
+                theta=g.uniform(-0.6, 1.5, 3),
+                win_model=WinningFunctionModel(form, float(g.uniform(0.1, 2.0))),
+                lam=float(g.uniform(0.0, 3.0)),
+            )
+        )
+    return agents
+
+
+class TestBidRequest:
+    """The feature row each owner's bid request carries."""
+
+    @pytest.mark.parametrize(
+        "oid,n,expected",
+        [
+            (50, 10000, [1.0, 0.5, 1.0]),
+            (100, 1000, [1.0, 1.0, 0.1]),
+            (1, 1000, [1.0, 0.01, 0.1]),
+        ],
+    )
+    def test_features(self, oid, n, expected):
+        Q = request_features([oid], [n], 100)
+        assert Q.shape == (1, 3)
+        np.testing.assert_allclose(Q[0], expected)
+
+    def test_feature_bounds(self):
+        pool = generate_do_pool(40, (1000, 10000), 5)
+        Q = request_features([o.id for o in pool], [o.num_samples for o in pool], 40)
+        assert np.all(Q[:, 0] == 1.0)
+        assert np.all(Q[:, 1:] >= 0) and np.all(Q[:, 1:] <= 1)
+
+    def test_market_rows_carry_owners(self):
+        pool = generate_do_pool(30, (1000, 10000), 6)
+        out = run_market([const_agent()], pool, np.random.default_rng(0)).outcomes
+        assert sorted(out["owner_id"]) == [o.id for o in pool]
+        sizes = {o.id: o.num_samples for o in pool}
+        assert out["num_samples"].tolist() == [sizes[i] for i in out["owner_id"].tolist()]
 
 
 class TestPool:
@@ -53,53 +167,37 @@ class TestPool:
             generate_do_pool(1, (10, 20), 0)
 
 
-class TestBidRequest:
-    @pytest.mark.parametrize(
-        "oid,n,expected",
-        [
-            (50, 10000, [1.0, 0.5, 1.0]),
-            (100, 1000, [1.0, 1.0, 0.1]),
-            (1, 1000, [1.0, 0.01, 0.1]),
-        ],
-    )
-    def test_features(self, oid, n, expected):
-        owner = generate_do_pool(100, (1000, 10000), 1)[oid - 1]
-        owner = type(owner)(oid, n, owner.quality, owner.local_seed)
-        req = make_bid_request(owner, 100)
-        assert req.owner_id == oid
-        np.testing.assert_allclose(req.features, expected)
-
-    def test_feature_bounds(self):
-        for owner in generate_do_pool(40, (1000, 10000), 5):
-            q = make_bid_request(owner, 40).features
-            assert q[0] == 1.0
-            assert np.all(q[1:] >= 0) and np.all(q[1:] <= 1)
-
-
 class TestAuction:
-    def _req(self):
-        return make_bid_request(generate_do_pool(2, (5, 5), 0)[0], 2)
+    """Clearing: the highest positive bid wins and pays its bid."""
 
     def test_strict_max(self):
-        out = run_auction(self._req(), {"A": 0.5, "B": 0.8}, np.random.default_rng(0))
-        assert out.winner == "B"
-        assert out.clearing_price == 0.8
+        pool = generate_do_pool(3, (5, 5), 0)
+        agents = [const_agent("A", 10.0, 0.5), const_agent("B", 10.0, 0.8)]
+        result = run_market(agents, pool, np.random.default_rng(0))
+        assert winner_names(result) == ["B"] * 3
+        assert result.outcomes["price"].tolist() == [0.8] * 3
+        assert result.outcomes["bids"].tolist() == [[0.5, 0.8]] * 3
 
     def test_tie_seeded(self):
-        winners = {
-            run_auction(self._req(), {"A": 0.7, "B": 0.7}, np.random.default_rng(s)).winner
-            for s in range(20)
-        }
-        assert winners <= {"A", "B"} and len(winners) == 2
-        # same seed, same winner
-        w1 = run_auction(self._req(), {"A": 0.7, "B": 0.7}, np.random.default_rng(4)).winner
-        w2 = run_auction(self._req(), {"A": 0.7, "B": 0.7}, np.random.default_rng(4)).winner
-        assert w1 == w2
+        pool = generate_do_pool(20, (5, 5), 0)
+
+        def winners(seed):
+            agents = [const_agent("B", 100.0, 0.7), const_agent("A", 100.0, 0.7)]
+            return winner_names(run_market(agents, pool, np.random.default_rng(seed)))
+
+        assert set(winners(0)) == {"A", "B"}
+        assert {winners(s)[0] for s in range(20)} == {"A", "B"}
+        # same seed, same winners
+        assert winners(4) == winners(4)
 
     def test_no_positive_bid(self):
-        out = run_auction(self._req(), {"A": 0.0}, np.random.default_rng(0))
-        assert out.winner is None
-        assert out.clearing_price == 0.0
+        pool = generate_do_pool(4, (5, 5), 0)
+        # 1 + theta.q is below the clamp floor, so the utility and the bid are 0
+        agent = ConsumerAgent("a", Strategy.LIN, 1.0, theta=np.array([-2.0, 0.0, 0.0]))
+        out = run_market([agent], pool, np.random.default_rng(0)).outcomes
+        assert out["winner"].tolist() == [-1] * 4
+        assert out["price"].tolist() == [0.0] * 4
+        assert out["bids"].tolist() == [[0.0]] * 4
 
 
 class TestMarket:
@@ -107,17 +205,19 @@ class TestMarket:
         pool = generate_do_pool(3, (10, 10), 1)
         agent = const_agent(budget=1.0, bid=0.6)
         result = run_market([agent], pool, np.random.default_rng(0))
-        prices = [o.clearing_price for o in result.outcomes if o.winner == "a"]
-        assert prices == [0.6, pytest.approx(0.4)]
-        assert result.spend["a"] == pytest.approx(1.0)
-        assert agent.remaining_budget == 0.0
+        out = result.outcomes
+        assert out["price"][out["winner"] == 0].tolist() == [0.6, pytest.approx(0.4)]
+        assert out["bids"][:2, 0].tolist() == [0.6, pytest.approx(0.4)]
+        assert compute_metrics(result).per_agent["a"].spend == pytest.approx(1.0)
+        assert agent.budget == 1.0
 
     def test_termination_when_broke(self):
         pool = generate_do_pool(5, (10, 10), 1)
         result = run_market([const_agent(budget=0.6, bid=0.6)], pool, np.random.default_rng(0))
-        winners = [o.winner for o in result.outcomes]
-        assert winners[0] == "a"
-        assert winners[1:] == [None] * 4
+        assert winner_names(result) == ["a"] + [None] * 4
+        # no budget left: no bid at all
+        assert np.all(np.isnan(result.outcomes["bids"][1:]))
+        assert result.outcomes["price"][1:].tolist() == [0.0] * 4
 
     def test_empty_inputs(self):
         pool = generate_do_pool(2, (5, 5), 0)
@@ -125,85 +225,152 @@ class TestMarket:
             run_market([], pool, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             run_market([const_agent()], [], np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="unique"):
+            run_market([const_agent(), const_agent()], pool, np.random.default_rng(0))
 
     def test_determinism(self):
         pool = generate_do_pool(10, (10, 100), 2)
 
         def go():
-            agents = [
-                const_agent("a", 2.0, 0.5),
-                ConsumerAgent("b", Strategy.RAND, 2.0, params=StrategyParams(rand_max=1.0)),
-            ]
-            r = run_market(agents, pool, np.random.default_rng(7))
-            return [(o.request.owner_id, o.bids, o.winner, o.clearing_price) for o in r.outcomes]
+            agents = [const_agent("a", 2.0, 0.5), rand_agent("b", 2.0)]
+            return run_market(agents, pool, np.random.default_rng(7)).outcomes.tobytes()
 
         assert go() == go()
+
+    def test_same_agents_twice(self):
+        # the budgets live in the clearing loop, so the agents are not spent
+        pool = generate_do_pool(20, (10, 100), 2)
+        agents = [const_agent("a", 1.0, 0.5), rand_agent("b", 1.5)]
+        first = run_market(agents, pool, np.random.default_rng(7)).outcomes
+        second = run_market(agents, pool, np.random.default_rng(7)).outcomes
+        assert first.tobytes() == second.tobytes()
+        assert np.count_nonzero(first["winner"] >= 0) > 2
 
     def test_conservation(self):
         pool = generate_do_pool(20, (10, 100), 2)
         agents = [const_agent(f"a{i}", 3.0, 0.4 + 0.1 * i) for i in range(3)]
         result = run_market(agents, pool, np.random.default_rng(1))
-        won_ids = [o.request.owner_id for n in result.agent_names for o in result.wins[n]]
-        unsold = [o.request.owner_id for o in result.outcomes if o.winner is None]
-        assert len(won_ids) == len(set(won_ids))
-        assert len(won_ids) + len(unsold) == len(pool)
-        for name in result.agent_names:
-            assert result.samples[name] == sum(
-                next(ow.num_samples for ow in pool if ow.id == o.request.owner_id)
-                for o in result.wins[name]
-            )
+        out = result.outcomes
+        assert len(out) == len(pool)
+        assert sorted(out["owner_id"]) == [o.id for o in pool]
+        metrics = compute_metrics(result).per_agent
+        assert sum(m.num_owners_won for m in metrics.values()) + np.sum(out["winner"] < 0) == len(pool)
+        sizes = {o.id: o.num_samples for o in pool}
+        for j, name in enumerate(result.agent_names):
+            won = out["owner_id"][out["winner"] == j].tolist()
+            assert metrics[name].total_samples == sum(sizes[i] for i in won)
 
     def test_budget_safety_prefix(self):
         pool = generate_do_pool(30, (10, 100), 4)
-        agents = [
-            ConsumerAgent("r1", Strategy.RAND, 1.5, params=StrategyParams(rand_max=0.8)),
-            ConsumerAgent("r2", Strategy.RAND, 0.7, params=StrategyParams(rand_max=0.8)),
-        ]
+        agents = [rand_agent("r1", 1.5, 0.8), rand_agent("r2", 0.7, 0.8)]
         result = run_market(agents, pool, np.random.default_rng(3))
-        running = {n: 0.0 for n in result.agent_names}
-        for o in result.outcomes:
-            if o.winner is not None:
-                running[o.winner] += o.clearing_price
-                assert running[o.winner] <= {"r1": 1.5, "r2": 0.7}[o.winner]
+        running = [0.0, 0.0]
+        for j, price in zip(result.outcomes["winner"].tolist(), result.outcomes["price"].tolist()):
+            if j >= 0:
+                running[j] += price
+                assert running[j] <= [1.5, 0.7][j]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_market_pressure_const(self, seed):
         pool = generate_do_pool(25, (10, 100), seed)
 
         def wins_at(budget):
-            agents = [
-                const_agent("c", budget, 0.5),
-                ConsumerAgent("r", Strategy.RAND, 3.0, params=StrategyParams(rand_max=1.0)),
-            ]
+            agents = [const_agent("c", budget, 0.5), rand_agent("r", 3.0)]
             r = run_market(agents, pool, np.random.default_rng(seed + 100))
-            return len(r.wins["c"])
+            return compute_metrics(r).per_agent["c"].num_owners_won
 
         assert wins_at(2.0) >= wins_at(1.0)
 
 
+class TestReferenceLoop:
+    """The columnar market against the per-auction loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize(
+        "strategies",
+        [
+            (Strategy.CONST, Strategy.RAND),
+            (Strategy.CONST, Strategy.RAND, Strategy.BMUB),
+            (Strategy.CONST, Strategy.RAND, Strategy.BMUB, Strategy.LIN, Strategy.FBS),
+        ],
+        ids=["const-rand", "const-rand-bmub", "no-fbc"],
+    )
+    def test_bit_identical_given_row_predict(self, monkeypatch, seed, strategies):
+        # with predict taken row by row, only fbc's vectorized pow could differ
+        monkeypatch.setattr(est, "predict", lambda theta, Q: np.array([ROW_PREDICT(theta, q) for q in Q]))
+        agents = random_agents(seed, strategies)
+        pool = generate_do_pool(40, (1000, 10000), seed)
+        expected = reference_market(agents, pool, np.random.default_rng(seed))
+        got = run_market(agents, pool, np.random.default_rng(seed)).outcomes
+        assert got.tobytes() == expected.tobytes()
+
+    def test_reference_markets_reach_ties_and_spent_budgets(self):
+        ties = spent = 0
+        for seed in range(8):
+            agents = random_agents(seed, (Strategy.CONST, Strategy.RAND))
+            out = reference_market(agents, generate_do_pool(40, (1000, 10000), seed), np.random.default_rng(seed))
+            bids = out["bids"]
+            ties += np.sum(np.sum(bids == out["price"][:, None], axis=1) > 1)
+            spent += np.sum(np.isnan(bids))
+        assert ties > 0 and spent > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_six_strategies_within_predict_bound(self, seed):
+        agents = random_agents(seed, tuple(Strategy))
+        pool = generate_do_pool(40, (1000, 10000), seed)
+        expected = reference_market(agents, pool, np.random.default_rng(seed))
+        got = run_market(agents, pool, np.random.default_rng(seed)).outcomes
+        for field in ("owner_id", "num_samples", "winner"):
+            np.testing.assert_array_equal(got[field], expected[field])
+        eps = np.finfo(float).eps
+        Q = request_features(expected["owner_id"], expected["num_samples"], len(pool))
+        for j, agent in enumerate(agents):
+            want, have = expected["bids"][:, j], got["bids"][:, j]
+            np.testing.assert_array_equal(np.isnan(have), np.isnan(want))
+            # every bid moves by at most its utility's move (|db/ds| <= 1, lin: its
+            # coefficient), a few ulp of its own rounding, and the spend's drift so far
+            s_bound = row_predict_bound(agent.theta, Q)[1] if agent.strategy in st.NEEDS_THETA else 0.0
+            won = expected["winner"] == j
+            drift = np.abs(np.cumsum(np.where(won, got["price"] - expected["price"], 0.0)))
+            drift = np.concatenate([[0.0], drift[:-1]])
+            tol = max(1.0, agent.params.lin_coef) * s_bound + 8 * eps * np.abs(want) + drift
+            live = ~np.isnan(want)
+            assert np.all(np.abs(have - want)[live] <= tol[live]), agent.name
+        np.testing.assert_allclose(got["price"], expected["price"], rtol=1e-13, atol=0)
+
+
 class TestMetrics:
+    def _result(self, rows):
+        out = np.array(rows, dtype=outcome_dtype(1))
+        return MarketResult(["a"], out)
+
     def test_unit_price_arithmetic(self):
-        pool = generate_do_pool(2, (5, 5), 0)
-        result = run_market([const_agent(budget=5.0)], pool, np.random.default_rng(0))
-        result.spend["a"] = 50.0
-        result.samples["a"] = 14000
-        report = compute_metrics(result)
-        assert report.per_agent["a"].unit_price_per_1000 == pytest.approx(50 / 14)
+        result = self._result([(1, 14000, [50.0], 0, 50.0), (2, 3000, [0.0], -1, 0.0)])
+        m = compute_metrics(result).per_agent["a"]
+        assert (m.num_owners_won, m.total_samples, m.spend) == (1, 14000, 50.0)
+        assert m.unit_price_per_1000 == pytest.approx(50 / 14)
 
     def test_no_wins(self):
-        pool = generate_do_pool(2, (5, 5), 0)
-        agent = const_agent(budget=5.0)
-        result = run_market([agent], pool, np.random.default_rng(0))
-        result.wins["a"] = []
-        result.spend["a"] = 0.0
-        result.samples["a"] = 0
-        m = compute_metrics(result).per_agent["a"]
+        m = compute_metrics(self._result([(1, 5, [0.0], -1, 0.0)])).per_agent["a"]
+        assert m.num_owners_won == 0
         assert m.total_samples == 0
+        assert m.spend == 0.0
         assert m.unit_price_per_1000 is None
+
+    def test_spend_adds_in_auction_order(self, rng):
+        prices = rng.uniform(0.0, 1.0, 200)
+        rows = [(i, 10, [p], 0 if i % 3 else -1, p if i % 3 else 0.0) for i, p in enumerate(prices.tolist())]
+        running = 0.0
+        for row in rows:
+            if row[3] == 0:
+                running += row[4]
+        m = compute_metrics(self._result(rows)).per_agent["a"]
+        assert m.spend == running
+        assert type(m.spend) is float and type(m.total_samples) is int
 
     def test_single_win(self):
         pool = generate_do_pool(2, (1000, 1000), 0)
-        result = run_market([const_agent(budget=2.79, bid=2.79)], pool[:1] + [], np.random.default_rng(0))
+        result = run_market([const_agent(budget=2.79, bid=2.79)], pool[:1], np.random.default_rng(0))
         m = compute_metrics(result).per_agent["a"]
         assert m.num_owners_won == 1
         assert m.unit_price_per_1000 == pytest.approx(2.79)

@@ -22,23 +22,39 @@ def complex_(c):
 class TestBaselines:
     def test_const(self):
         params = StrategyParams(const_bid=0.5)
-        assert all(st.bid_const(params) == 0.5 for _ in range(5))
+        np.testing.assert_array_equal(st.bid_const(params, 5), np.full(5, 0.5))
 
     def test_rand_range(self, rng):
+        draws = st.bid_rand(StrategyParams(rand_max=0.7), rng, 500)
+        assert draws.shape == (500,)
+        assert np.all((draws > 0) & (draws <= 0.7))
+
+    def test_rand_column_equals_scalar_draws(self):
         params = StrategyParams(rand_max=0.7)
-        draws = [st.bid_rand(params, rng) for _ in range(500)]
-        assert all(0 < b <= 0.7 for b in draws)
+        column = st.bid_rand(params, np.random.default_rng(9), 300)
+        scalar_rng = np.random.default_rng(9)
+        scalars = [params.rand_max - float(scalar_rng.uniform(0.0, params.rand_max)) for _ in range(300)]
+        assert column.tolist() == scalars
 
     def test_bmub_zero_utility(self, rng):
-        assert st.bid_bmub(0.0, rng) == 0.0
+        np.testing.assert_array_equal(st.bid_bmub(np.zeros(3), rng), np.zeros(3))
 
     def test_bmub_range(self, rng):
-        draws = [st.bid_bmub(1.3, rng) for _ in range(500)]
-        assert all(0 < b <= 1.3 for b in draws)
+        draws = st.bid_bmub(np.full(500, 1.3), rng)
+        assert np.all((draws > 0) & (draws <= 1.3))
+
+    def test_bmub_draws_only_where_utility_is_positive(self):
+        # one draw per positive utility, in order: the stream stays aligned
+        s = np.array([0.4, 0.0, -0.2, 1.3, 0.0, 0.9])
+        column = st.bid_bmub(s, np.random.default_rng(3))
+        scalar_rng = np.random.default_rng(3)
+        expected = [x - float(scalar_rng.uniform(0.0, x)) if x > 0 else 0.0 for x in s]
+        assert column.tolist() == expected
 
     def test_lin(self):
-        assert st.bid_lin(0.7, StrategyParams(lin_coef=2.0)) == pytest.approx(1.4)
-        assert st.bid_lin(0.0, StrategyParams(lin_coef=2.0)) == 0.0
+        bids = st.bid_lin(np.array([0.7, 0.0, -0.3]), StrategyParams(lin_coef=2.0))
+        assert bids[0] == pytest.approx(1.4)
+        assert bids[1:].tolist() == [0.0, 0.0]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
