@@ -138,10 +138,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
     lo, hi = cfg.sample_range
     if lo < 1 or hi < lo:
         raise ConfigurationError("sample_range must satisfy 1 <= min <= max")
-    if cfg.budget <= 0:
-        raise ConfigurationError("budget must be positive")
-    if cfg.budget_scale <= 0:
-        raise ConfigurationError("budget_scale must be positive")
+    for key in ("budget", "budget_scale"):
+        if not getattr(cfg, key) > 0:
+            raise ConfigurationError(f"{key} must be positive")
+    for spec in cfg.agents:
+        if not cfg.scaled_budget(spec) / cfg.pool_size > 0:
+            raise ConfigurationError(f"agent {spec.name}: budget per request rounds to 0")
     for key in ("bootstrap_rounds", "local_epochs", "estimator_epochs"):
         if getattr(cfg, key) < 0:
             raise ConfigurationError(f"{key} must be non-negative")

@@ -276,8 +276,6 @@ def write_calibration_report(path, cfg: RunConfig, calibration: dict):
 
 def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifacts:
     """Bootstrap, competitive market, FedAvg evaluation, artifact emission."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     root = np.random.SeedSequence(cfg.master_seed)
     pool_rng, boot_rng, market_rng, fl_rng = [
         np.random.default_rng(s) for s in root.spawn(4)
@@ -296,6 +294,8 @@ def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifa
     for name, m in metrics.per_agent.items():
         m.fl_accuracy = accuracy[name]
 
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     tag = f"seed{cfg.master_seed}"
     market_csv = out / f"market_{tag}.csv"
     summary_csv = out / f"summary_{tag}.csv"

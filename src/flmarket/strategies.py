@@ -1,5 +1,5 @@
 """Bidding strategies, the budget Lagrange-multiplier solver and the
-brute-force optimal-bid oracle.
+optimal-bid oracle.
 
 Baselines: constant bid, uniform random bid, uniform below estimated
 utility (Bmub), linear in estimated utility (Lin).  The two closed-form
@@ -42,7 +42,7 @@ class StrategyParams:
     lin_coef: float = 0.5
 
     def __post_init__(self):
-        bad = [f"{k}={v}" for k, v in vars(self).items() if v <= 0]
+        bad = [f"{k}={v}" for k, v in vars(self).items() if not v > 0]
         if bad:
             raise ValueError(f"strategy constants must be positive: {', '.join(bad)}")
 
@@ -129,11 +129,6 @@ def closed_form_bid(s, model: WinningFunctionModel, lam: float):
     return bid_fbc(s, model.c, lam)
 
 
-def surplus(s: float, b, model: WinningFunctionModel, lam: float):
-    """Per-request objective f(b) = (s - (1+lam) b) W(b)."""
-    return (s - (1.0 + lam) * np.asarray(b, dtype=float)) * win_prob(model, b)
-
-
 def check_foc(s: float, b: float, model: WinningFunctionModel, lam: float) -> float:
     """First-order-condition residual f'(b); near zero at the optimal bid.
 
@@ -145,35 +140,37 @@ def check_foc(s: float, b: float, model: WinningFunctionModel, lam: float) -> fl
     ) * win_prob(model, b)
 
 
-def oracle_optimal_bid(
-    s: float,
-    model: WinningFunctionModel,
-    lam: float,
-    grid_points: int = 1_000_000,
-    bisect_steps: int = 50,
-) -> float:
-    """Reference maximizer of the per-request surplus by dense grid search.
+def _bisect(below, lo: float, hi: float) -> tuple:
+    """Shrink [lo, hi] around the point where ``below`` turns false.
 
-    Scans b in [0, s] (the optimum never exceeds s for lam >= 0, where
-    f(b) < 0), then refines by bisection on f' around the best grid
-    point.  Certifies the closed forms in tests; not for the hot path.
+    ``below`` must be true left of that point and false right of it; it
+    is taken as true at ``lo`` and false at ``hi`` and is never called
+    there.  Halves until the midpoint rounds to an end, that is until no
+    float lies strictly inside, so it needs no tolerance and stops after
+    at most about 2,100 halvings.  Returns ``(lo, hi, halvings)``.
+    """
+    halvings = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        halvings += 1
+    return lo, hi, halvings
+
+
+def oracle_optimal_bid(s: float, model: WinningFunctionModel, lam: float) -> float:
+    """Reference maximizer of the per-request surplus f(b) = (s - (1+lam) b) W(b).
+
+    f is positive and log-concave on (0, s/(1+lam)) for both win models,
+    and negative beyond it, so f' changes sign exactly once there: bisect
+    the sign of ``check_foc`` to adjacent floats.  Never calls the closed
+    forms, which it certifies in tests; not for the hot path.
     """
     if s <= 0:
         return 0.0
-    grid = np.linspace(0.0, s, grid_points)
-    f = surplus(s, grid, model, lam)
-    i = int(np.argmax(f))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-    if check_foc(s, lo, model, lam) > 0 > check_foc(s, hi, model, lam):
-        for _ in range(bisect_steps):
-            mid = 0.5 * (lo + hi)
-            if check_foc(s, mid, model, lam) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    return float(grid[i])
+    lo, _, _ = _bisect(lambda b: check_foc(s, b, model, lam) > 0, 0.0, s / (1.0 + lam))
+    return lo
 
 
 def expected_spend_per_request(
@@ -189,54 +186,34 @@ def solve_lambda(
     model: WinningFunctionModel,
     budget: float,
     num_requests: int,
-    rel_tol: float = 0.01,
-    max_iterations: int = 200,
 ) -> LambdaSolution:
-    """Solve for the budget multiplier by bisection on expected spend.
+    """Solve for the budget multiplier: expected spend per request = B/N.
 
-    Finds lambda >= 0 such that the expected spend per request matches
-    the per-request budget B/N, or returns lambda = 0 when the budget
-    constraint is slack at the unconstrained optimum.  ``note`` says why
-    the solve stopped short: when doubling the bracket reached the 1e12
-    cap, or when the bisection ran out of ``max_iterations`` with the
-    spend outside ``rel_tol`` of the target.
+    Returns lambda = 0 when the budget constraint is slack at the
+    unconstrained optimum.  Otherwise the spend rises with k = 1/(1+lambda)
+    from 0 as k -> 0 to above the target at k = 1, so [0, 1] brackets the
+    root: bisect k to adjacent floats and return lambda = 1/lo - 1 for the
+    largest k found whose spend is at most the target, with that spend.
+    ``note`` is set only when every utility sample is zero.
     """
     if len(utility_samples) == 0:
         raise ValueError("utility_samples must be non-empty")
-    if budget <= 0 or num_requests < 1:
-        raise ValueError("budget must be positive and num_requests >= 1")
-    samples = np.asarray(utility_samples, dtype=float)
+    if num_requests < 1:
+        raise ValueError("num_requests must be >= 1")
     target = budget / num_requests
+    if not target > 0:
+        raise ValueError(f"budget / num_requests must be positive, got {target!r}")
+    samples = np.asarray(utility_samples, dtype=float)
     if np.all(samples <= 0):
         return LambdaSolution(0.0, 0.0, target, 0, note="all utility samples are zero")
     g0 = expected_spend_per_request(samples, model, 0.0)
     if g0 <= target:
         return LambdaSolution(0.0, g0, target, 0)
-    notes = []
-    hi = 1.0
-    iters = 0
-    while expected_spend_per_request(samples, model, hi) >= target:
-        hi *= 2.0
-        iters += 1
-        if hi > 1e12:
-            notes.append(f"bracket capped at lambda={hi!r}: spend still at or above target")
-            break
-    lo = 0.0
-    lam = hi
-    g = expected_spend_per_request(samples, model, lam)
-    while iters < max_iterations:
-        lam = 0.5 * (lo + hi)
-        g = expected_spend_per_request(samples, model, lam)
-        iters += 1
-        if abs(g - target) <= rel_tol * target:
-            break
-        if g > target:
-            lo = lam
-        else:
-            hi = lam
-    if abs(g - target) > rel_tol * target:
-        notes.append(
-            f"bisection stopped at max_iterations={max_iterations} with spend {g!r}, "
-            f"target {target!r}"
-        )
-    return LambdaSolution(lam, g, target, iters, note="; ".join(notes) or None)
+    spend = {}
+
+    def below(k):
+        spend[k] = expected_spend_per_request(samples, model, 1.0 / k - 1.0)
+        return spend[k] <= target
+
+    lo, _, halvings = _bisect(below, 0.0, 1.0)
+    return LambdaSolution(1.0 / lo - 1.0, spend[lo], target, halvings)

@@ -15,6 +15,15 @@ def central_difference(f, x, h=1e-6):
     return g
 
 
+def criterion_triples(n):
+    """The (s, c, lambda) triples acceptance criteria 1-3 certify the closed forms on."""
+    rng = np.random.default_rng(20240815)
+    return [
+        (rng.uniform(1e-3, 10.0), rng.uniform(1e-3, 5.0), rng.uniform(0.0, 5.0))
+        for _ in range(n)
+    ]
+
+
 def make_history(theta_star, num_records, rng, feature_scale=1.0):
     """Won records (Q, y) labeled by a known parameter vector."""
     Q = np.ones((num_records, 3))

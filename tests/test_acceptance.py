@@ -15,18 +15,14 @@ from flmarket.experiment import bootstrap_history, run_experiment
 from flmarket.market import generate_do_pool
 from flmarket.winmodel import WinForm, WinningFunctionModel
 
-from conftest import central_difference, make_history
+from conftest import central_difference, criterion_triples, make_history
 
 N_TRIPLES = 1000
 
 
 @pytest.fixture(scope="module")
 def triples():
-    rng = np.random.default_rng(20240815)
-    return [
-        (rng.uniform(1e-3, 10.0), rng.uniform(1e-3, 5.0), rng.uniform(0.0, 5.0))
-        for _ in range(N_TRIPLES)
-    ]
+    return criterion_triples(N_TRIPLES)
 
 
 def report(num, ok, detail=""):
@@ -48,7 +44,7 @@ def test_criterion_1_closed_form_certification(triples):
     report(
         1,
         worst <= 1e-4 and elapsed < 60,
-        f"closed forms vs grid oracle, worst rel err {worst:.2e}, {elapsed:.1f}s",
+        f"closed forms vs FOC-bisection oracle, worst rel err {worst:.2e}, {elapsed:.1f}s",
     )
 
 

@@ -135,6 +135,12 @@ def test_default_lineup_forms():
         ("const_bid", -1),
         ("rand_max", 0),
         ("lin_coef", -0.5),
+        ("const_bid", float("nan")),
+        ("rand_max", float("nan")),
+        ("lin_coef", float("nan")),
+        ("budget", float("nan")),
+        ("budget_scale", float("nan")),
+        ("budget", 1.0e-320),  # positive, but 0 once scaled and split over the pool
     ],
 )
 def test_bad_bidding_values_rejected(key, value):
@@ -179,7 +185,11 @@ def test_agent_budget_must_be_a_number():
         )
 
 
-@pytest.mark.parametrize("key,value", [("num_buckets", 1), ("const_bid", -1), ("budget", "fifty")])
+@pytest.mark.parametrize(
+    "key,value",
+    [("num_buckets", 1), ("const_bid", -1), ("budget", "fifty"), ("budget", float("nan")),
+     ("rand_max", float("nan"))],
+)
 def test_cli_rejects_bad_value_before_running(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     path = write_config(tmp_path, {"master_seed": 1, "train_fl": False, key: value})

@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -156,13 +155,17 @@ class TestRunExperiment:
     def test_calibration_report_lambda_note(self, tmp_path, monkeypatch):
         cfg = small_config(out=str(tmp_path / "full"), train_fl=False)
         full = json.loads(run_experiment(cfg).calibration_report.read_text())["agents"]
-        short = functools.partial(experiment.solve_lambda, max_iterations=1)
-        monkeypatch.setattr(experiment, "solve_lambda", short)
+        solve = experiment.solve_lambda
+
+        def noted(*args):
+            return replace(solve(*args), note="forced note")
+
+        monkeypatch.setattr(experiment, "solve_lambda", noted)
         art = run_experiment(replace(cfg, output_dir=str(tmp_path / "short")))
         report = json.loads(art.calibration_report.read_text())["agents"]
         for name in ("fbs", "fbc"):
             assert "lambda_note" not in full[name]
-            assert "max_iterations=1" in report[name]["lambda_note"]
+            assert report[name]["lambda_note"] == "forced note"
             assert report[name]["lambda_note"] == art.calibration[name].lambda_solution.note
 
 
@@ -204,6 +207,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: backoff exhausted after 8 rates")
         assert not list(tmp_path.rglob("market_*.csv"))
+        assert not (tmp_path / "out").exists()
 
     def test_sweep(self, tmp_path):
         self._write_cfg(tmp_path)
