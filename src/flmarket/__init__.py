@@ -2,7 +2,7 @@
 federated learning data acquisition."""
 
 from .config import AgentSpec, RunConfig, parse_config
-from .estimator import EstimatorParams, predict, true_utility
+from .estimator import predict, true_utility
 from .experiment import RunArtifacts, bootstrap_history, run_experiment
 from .market import (
     ConsumerAgent,

@@ -14,8 +14,6 @@ Schema (all keys optional except master_seed):
     train_fl: true
     local_epochs: 100
     fl_lr: 0.05
-    estimator_lr: 0.05
-    estimator_epochs: 5000
     num_buckets: 20
     const_bid: 0.5
     rand_max: 1.0
@@ -25,8 +23,9 @@ Schema (all keys optional except master_seed):
       - {name: fbs, strategy: fbs, form: simple}
 
 Unknown keys, and values of the wrong type (a bool is not a number), are
-rejected (with a closest-match suggestion for a key).  The clamp
-floor on 1 + theta.q is estimator.CLAMP_EPS (1e-6), not a key.  Each
+rejected (with a closest-match suggestion for a key).  The estimator
+fit takes no keys: it runs to the least-squares theta, and its clamp
+floor on 1 + theta.q is estimator.CLAMP_EPS (1e-6).  Each
 agent's bootstrap history is one structured array (q, bid, won, utility)
 of bootstrap_rounds * pool_size rows.
 """
@@ -67,8 +66,6 @@ class RunConfig:
     train_fl: bool = True
     local_epochs: int = 100
     fl_lr: float = 0.05
-    estimator_lr: float = 0.05
-    estimator_epochs: int = 5000
     num_buckets: int = 20
     const_bid: float = 0.5
     rand_max: float = 1.0
@@ -144,12 +141,11 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for spec in cfg.agents:
         if not cfg.scaled_budget(spec) / cfg.pool_size > 0:
             raise ConfigurationError(f"agent {spec.name}: budget per request rounds to 0")
-    for key in ("bootstrap_rounds", "local_epochs", "estimator_epochs"):
+    for key in ("bootstrap_rounds", "local_epochs"):
         if getattr(cfg, key) < 0:
             raise ConfigurationError(f"{key} must be non-negative")
-    for key in ("fl_lr", "estimator_lr"):
-        if not getattr(cfg, key) > 0:
-            raise ConfigurationError(f"{key} must be positive")
+    if not cfg.fl_lr > 0:
+        raise ConfigurationError("fl_lr must be positive")
     if not 0.0 <= cfg.noise_rate_blurred <= 1.0:
         raise ConfigurationError("noise_rate_blurred must be in [0, 1]")
     fltrain.partition_mode(cfg.partition, cfg.shards_per_owner)

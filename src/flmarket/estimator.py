@@ -1,35 +1,36 @@
 """Log-linear utility estimation for bid requests.
 
 A consumer predicts the utility of recruiting a data owner from the
-owner's request features q via s(q) = ln(1 + theta.q), with theta fitted to
-realized utilities of won auctions by full-batch gradient descent on a squared-error
-loss.  Each epoch is fused, and theta is bit-identical to the ``loss``/``gradient`` loop.
+owner's request features q via s(q) = ln(1 + theta.q), with theta the
+least-squares fit to the realized utilities of won auctions.  ``fit``
+finds it by Levenberg-Marquardt from theta = 0 and reports how it ended:
+its iterations, final loss, relative gradient norm and whether it
+converged.  It does not raise when it stops short.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-
-class DivergenceError(RuntimeError):
-    """Fitting diverged; the message names the rule, ``step`` its epoch (-1: backoff gave up)."""
-
-    def __init__(self, step: int, reason: str):
-        super().__init__(reason)
-        self.step = step
-
-
 # floor on 1 + theta.q, so the log stays finite
 CLAMP_EPS = 1e-6
+# fit stops once the gradient norm is this fraction of its norm at theta = 0
+GRAD_REL_TARGET = 1e-9
+# and reports converged when the fraction is at most this
+CONVERGED_GRAD_REL = 1e-6
 
 
-@dataclass
-class EstimatorParams:
-    learning_rate: float = 0.05
-    epochs: int = 5000
+@dataclass(frozen=True)
+class FitResult:
+    """A fitted theta and how the fit that found it ended."""
+
+    theta: np.ndarray
+    iterations: int  # linear solves, accepted or rejected
+    loss: float  # ``loss`` at theta
+    grad_rel: float  # |gradient(theta)| / |gradient(0)|; 0 when gradient(0) is 0
+    converged: bool  # grad_rel <= CONVERGED_GRAD_REL
 
 
 def predict(theta: np.ndarray, q: np.ndarray):
@@ -58,58 +59,50 @@ def gradient(theta: np.ndarray, Q: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((np.log(z) - y) / z) @ Q
 
 
-def fit(Q: np.ndarray, y: np.ndarray, params: EstimatorParams) -> np.ndarray:
-    """Full-batch gradient descent from theta = 0 on won records (Q, y).
+def fit(Q: np.ndarray, y: np.ndarray, max_iterations: int = 200) -> FitResult:
+    """Least-squares theta on won records (Q, y) by Levenberg-Marquardt.
 
     ``Q`` holds one feature row per record and ``y`` its realized
-    utility.  After every step theta is projected so that 1 + theta.q
-    stays above the clamp floor on the training set.  Raises
-    DivergenceError if the loss turns non-finite, rises for 10 consecutive
-    steps or ends above its start.
-
-    Each epoch is fused: one dots = Q @ theta (two if projected) and one log give the
-    projection test, loss and next gradient; theta is bit-identical to ``gradient``/``loss``.
+    utility.  From theta = 0, each iteration solves
+    (J^T J + mu I) d = -J^T r, with residuals r = ln z - y, z = 1 + Q theta
+    and Jacobian J = Q / z, so that J^T r is ``gradient``.  A trial step
+    that puts 1 + theta.q below CLAMP_EPS on a record, or does not lower
+    the loss, is rejected and mu doubles; an accepted one divides mu by 3.
+    The fit stops when the gradient norm falls to GRAD_REL_TARGET of its
+    norm at theta = 0, when a step no longer changes theta (no step can
+    lower the loss), or after ``max_iterations`` solves.
     """
     if len(y) == 0:
         raise ValueError("history is empty; need at least one won record")
     theta = np.zeros(Q.shape[1])
-    dots = Q @ theta
-    # residual r = ln z - y with z = max(1 + dots, eps), kept across epochs
-    z = np.maximum(1.0 + dots, CLAMP_EPS)
-    r = np.log(z) - y
-    loss0 = prev = 0.5 * float(np.sum(r**2))
-    bad = 0
-    for step in range(params.epochs):
-        theta = theta - params.learning_rate * ((r / z) @ Q)
-        np.matmul(Q, theta, out=dots)
-        m = dots.min()
-        projected = 1.0 + m < CLAMP_EPS
-        if projected:
-            # scale theta down by the smallest factor restoring the floor
-            theta = theta * ((CLAMP_EPS - 1.0) / m)
-            np.matmul(Q, theta, out=dots)
-        np.add(dots, 1.0, out=z)
-        if not 1.0 + m >= CLAMP_EPS:  # rounding is monotone: else the floor is a no-op
-            np.maximum(z, CLAMP_EPS, out=z)
-        np.subtract(np.log(z, out=r), y, out=r)
-        cur = 0.5 * float(np.sum(r**2))  # == loss(theta, Q, y): (a - y)^2 == (y - a)^2
-        if not math.isfinite(cur):
-            raise DivergenceError(step, f"loss is {cur!r} at step {step}")
-        # a step pinned to the clamp floor without improving counts as
-        # divergent too: the iterate overshot and is stuck
-        if cur > prev or (projected and cur >= prev):
-            bad += 1
-            if bad >= 10:
-                raise DivergenceError(step, f"loss rose for 10 consecutive steps up to step {step}")
-        else:
-            bad = 0
-        prev = cur
-    if prev > loss0:
-        # overshot into a worse basin than the starting point
-        raise DivergenceError(
-            params.epochs - 1, f"final loss {prev!r} is above {loss0!r}, the loss at theta = 0"
-        )
-    return theta
+    z = np.ones(len(y))
+    r = -y  # ln 1 - y
+    cur = 0.5 * float(r @ r)
+    g = (r / z) @ Q
+    g0 = float(np.linalg.norm(g))
+    J = Q / z[:, None]
+    A = J.T @ J
+    mu = 1e-3 * float(np.max(np.diag(A)))  # start close to Gauss-Newton
+    iterations = 0
+    while iterations < max_iterations and np.linalg.norm(g) > GRAD_REL_TARGET * g0:
+        iterations += 1
+        trial = theta + np.linalg.solve(A + mu * np.eye(len(theta)), -g)
+        if np.array_equal(trial, theta):
+            break  # the step is below theta's rounding: no step lowers the loss
+        z_trial = 1.0 + Q @ trial
+        if z_trial.min() >= CLAMP_EPS:
+            r_trial = np.log(z_trial) - y
+            trial_loss = 0.5 * float(r_trial @ r_trial)
+            if trial_loss < cur:
+                theta, z, r, cur = trial, z_trial, r_trial, trial_loss
+                g = (r / z) @ Q
+                J = Q / z[:, None]
+                A = J.T @ J
+                mu /= 3.0
+                continue
+        mu *= 2.0
+    grad_rel = float(np.linalg.norm(g)) / g0 if g0 > 0 else 0.0
+    return FitResult(theta, iterations, cur, grad_rel, grad_rel <= CONVERGED_GRAD_REL)
 
 
 BLUR_DISCOUNT = 0.4
@@ -126,17 +119,7 @@ def true_utility(owner) -> float:
     return g * float(np.log1p(owner.num_samples / 1000.0))
 
 
-def fit_with_backoff(Q, y, params: EstimatorParams, max_retries: int = 8):
-    """Fit, quartering the learning rate on divergence.
-
-    Returns (theta, params actually used).  Large histories make the
-    summed gradient steep, so the nominal rate can overshoot.
-    """
-    lr = params.learning_rate
-    for _ in range(max_retries):
-        try:
-            trial = EstimatorParams(lr, params.epochs)
-            return fit(Q, y, trial), trial
-        except DivergenceError:
-            lr /= 4.0
-    raise DivergenceError(-1, f"backoff exhausted after {max_retries} rates, the last {lr * 4.0!r}")
+def fit_with_backoff(Q, y) -> FitResult:
+    # The benchmark tracer (bench/spans.py) times and counts fits by this
+    # name; keep it until its spans wrap ``fit`` directly.
+    return fit(Q, y)

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import estimator, fltrain, winmodel
 from .config import RunConfig, echo_config
-from .estimator import EstimatorParams
 from .market import (
     ConfigurationError,
     ConsumerAgent,
@@ -38,7 +37,7 @@ from .market import (
     run_market,
 )
 from .strategies import NEEDS_THETA, LambdaSolution, Strategy, solve_lambda
-from .winmodel import WinningFunctionModel, calibrate_c, empirical_win_curve
+from .winmodel import WinningFunctionModel, at_bracket_edge, calibrate_c, empirical_win_curve
 
 _CLOSED_FORM = (Strategy.FBS, Strategy.FBC)
 
@@ -50,12 +49,15 @@ HISTORY_DTYPE = np.dtype(
 
 @dataclass
 class AgentCalibration:
-    theta: Optional[np.ndarray] = None
-    estimator_loss: Optional[float] = None
-    estimator_lr: Optional[float] = None
+    fit: Optional[estimator.FitResult] = None
     win_model: Optional[WinningFunctionModel] = None
+    c_at_bracket_edge: Optional[bool] = None
     lambda_solution: Optional[LambdaSolution] = None
     history: Optional[np.ndarray] = None  # HISTORY_DTYPE rows
+
+    @property
+    def theta(self) -> Optional[np.ndarray]:
+        return None if self.fit is None else self.fit.theta
 
 
 @dataclass
@@ -98,7 +100,6 @@ def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
             rows["utility"] = np.where(rows["won"], u, np.nan)
 
     calibration = {}
-    est_params = EstimatorParams(cfg.estimator_lr, cfg.estimator_epochs)
     for spec in cfg.agents:
         history = histories[spec.name]
         cal = AgentCalibration(history=history)
@@ -109,15 +110,14 @@ def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
                     f"agent {spec.name} won no bootstrap auctions; "
                     "increase bootstrap_rounds or rand_max"
                 )
-            # contiguous copies: the fit reads them 5,000 times per rate
+            # contiguous copies: the fit reads them once per iteration
             Q, y = np.ascontiguousarray(won["q"]), np.ascontiguousarray(won["utility"])
-            cal.theta, used = estimator.fit_with_backoff(Q, y, est_params)
-            cal.estimator_loss = estimator.loss(cal.theta, Q, y)
-            cal.estimator_lr = used.learning_rate
+            cal.fit = estimator.fit_with_backoff(Q, y)
         if spec.strategy in _CLOSED_FORM:
             curve = empirical_win_curve(history["bid"], history["won"], cfg.num_buckets)
             c = calibrate_c(curve, spec.form)
             cal.win_model = WinningFunctionModel(spec.form, c)
+            cal.c_at_bracket_edge = at_bracket_edge(curve, c)
             samples = estimator.predict(cal.theta, np.ascontiguousarray(history["q"]))
             cal.lambda_solution = solve_lambda(
                 samples, cal.win_model, cfg.scaled_budget(spec), cfg.pool_size
@@ -256,13 +256,16 @@ def write_calibration_report(path, cfg: RunConfig, calibration: dict):
     }
     for name, cal in calibration.items():
         entry = {}
-        if cal.theta is not None:
-            entry["theta"] = [float(t) for t in cal.theta]
-            entry["estimator_final_loss"] = cal.estimator_loss
-            entry["estimator_lr_used"] = cal.estimator_lr
+        if cal.fit is not None:
+            entry["theta"] = [float(t) for t in cal.fit.theta]
+            entry["estimator_final_loss"] = cal.fit.loss
+            entry["estimator_iterations"] = cal.fit.iterations
+            entry["estimator_grad_rel"] = cal.fit.grad_rel
+            entry["estimator_converged"] = cal.fit.converged
         if cal.win_model is not None:
             entry["win_form"] = cal.win_model.form.value
             entry["c"] = cal.win_model.c
+            entry["c_at_bracket_edge"] = cal.c_at_bracket_edge
         if cal.lambda_solution is not None:
             sol = cal.lambda_solution
             entry["lambda"] = sol.lam

@@ -78,25 +78,6 @@ def _augment(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(weights: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    p = _softmax(_augment(X) @ weights.T)
-    return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300)))
-
-
-def cross_entropy_gradient(weights: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    Xa = _augment(X)
-    p = _softmax(Xa @ weights.T)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(len(y)), y] = 1.0
-    return (p - onehot).T @ Xa / len(y)
-
-
 def zero_model(num_classes: int = NUM_CLASSES, dim: int = FEATURE_DIM) -> np.ndarray:
     return np.zeros((num_classes, dim + 1))
 
@@ -109,11 +90,12 @@ def local_train(
 ) -> np.ndarray:
     """Full-batch gradient descent on softmax cross-entropy.
 
-    Reproduces ``w = w - lr * cross_entropy_gradient(w, X, y)`` bit for
-    bit.  The augmented features, the row index and the (n, K)
-    probability buffer are built once; each step computes the softmax in
-    place in that buffer and subtracts 1 at the true labels instead of
-    building a one-hot matrix.
+    Each step is ``w = w - lr * (softmax(Xa w^T) - onehot(y))^T Xa / n``
+    with Xa the features augmented by a bias column, bit for bit.  The
+    augmented features, the row index and the (n, K) probability buffer
+    are built once; each step computes the softmax in place in that
+    buffer and subtracts 1 at the true labels instead of building a
+    one-hot matrix.
     """
     w = weights.copy()
     Xa = _augment(dataset.features)

@@ -92,9 +92,11 @@ def empirical_win_curve(bids, won, num_buckets: int = 20) -> tuple:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+C_MIN = 1e-4  # lower end of the bracket calibrate_c searches
+C_TOL = 1e-6  # bracket width at which its golden-section search stops
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-6) -> float:
+def _golden_section(f, lo: float, hi: float, tol: float = C_TOL) -> float:
     """Minimize a unimodal f on [lo, hi]; returns the midpoint of the final bracket."""
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
@@ -118,12 +120,27 @@ def calibration_objective(curve: tuple, form: WinForm, c: float) -> float:
     return float(np.sum(count * (win_prob(model, mid_bid) - win_rate) ** 2))
 
 
+def c_bracket(curve: tuple) -> tuple:
+    """The interval calibrate_c searches for c: [C_MIN, 10 * max bucket bid]."""
+    return C_MIN, 10.0 * float(np.max(curve[0]))
+
+
+def at_bracket_edge(curve: tuple, c: float) -> bool:
+    """Whether c lies within C_TOL of an end of ``c_bracket(curve)``.
+
+    There the objective's minimum may lie outside the bracket, so c is a
+    bound on the best fit rather than the fit itself.
+    """
+    lo, hi = c_bracket(curve)
+    return min(c - lo, hi - c) <= C_TOL
+
+
 def calibrate_c(curve: tuple, form: WinForm) -> float:
     """Fit the constant c by count-weighted least squares on the empirical curve.
 
     ``curve`` is the ``(mid_bid, win_rate, count)`` arrays of
     ``empirical_win_curve``.  Golden-section search on c in
-    [1e-4, 10 * max bucket bid].
+    ``c_bracket(curve)``.
     """
     mid_bid, win_rate, _ = curve
     if len(mid_bid) < 2:
@@ -132,6 +149,5 @@ def calibrate_c(curve: tuple, form: WinForm) -> float:
         raise InsufficientDataError(
             "degenerate win curve (all rates 0 or 1); widen bid exploration"
         )
-    hi = 10.0 * float(np.max(mid_bid))
-    c_hat = _golden_section(lambda c: calibration_objective(curve, form, c), 1e-4, hi)
-    return max(c_hat, 1e-4)
+    c_hat = _golden_section(lambda c: calibration_objective(curve, form, c), *c_bracket(curve))
+    return max(c_hat, C_MIN)

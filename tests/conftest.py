@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flmarket import estimator as est
+from flmarket import fltrain
 
 
 def central_difference(f, x, h=1e-6):
@@ -48,6 +49,27 @@ def assert_matches_row_predict(theta, Q, s):
     """Matrix predict equals per-row predict up to the rounding of theta.q."""
     rows, bound = row_predict_bound(theta, Q)
     assert np.all(np.abs(s - rows) <= bound)
+
+
+def softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def cross_entropy(weights, X, y):
+    """Mean softmax cross-entropy of a (K, d + 1) model on features X and labels y."""
+    p = softmax(fltrain._augment(X) @ weights.T)
+    return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300)))
+
+
+def cross_entropy_gradient(weights, X, y):
+    """Gradient of ``cross_entropy`` in the weights; local_train steps along it."""
+    Xa = fltrain._augment(X)
+    p = softmax(Xa @ weights.T)
+    onehot = np.zeros_like(p)
+    onehot[np.arange(len(y)), y] = 1.0
+    return (p - onehot).T @ Xa / len(y)
 
 
 @pytest.fixture

@@ -163,7 +163,7 @@ def test_iid_ignores_shards_per_owner():
     [
         ("budget", "fifty"),
         ("pool_size", "100"),
-        ("estimator_lr", "1e-3"),  # YAML 1.1 reads 1e-3 without a dot as a string
+        ("fl_lr", "1e-3"),  # YAML 1.1 reads 1e-3 without a dot as a string
         ("num_buckets", 2.5),
         ("const_bid", True),
         ("master_seed", None),
@@ -201,12 +201,9 @@ def test_cli_rejects_bad_value_before_running(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "key,value,message",
     [
-        ("estimator_lr", -0.05, "positive"),
-        ("estimator_lr", 0, "positive"),
-        ("estimator_lr", float("nan"), "positive"),
         ("fl_lr", -1, "positive"),
         ("fl_lr", 0, "positive"),
-        ("estimator_epochs", -3, "non-negative"),
+        ("fl_lr", float("nan"), "positive"),
         ("local_epochs", -1, "non-negative"),
         ("bootstrap_rounds", 0, "bmub, lin, fbs, fbc need history"),
     ],
@@ -214,6 +211,16 @@ def test_cli_rejects_bad_value_before_running(tmp_path, capsys, key, value):
 def test_bad_training_values_rejected(key, value, message):
     with pytest.raises(ConfigurationError, match=f"{key}.*{message}"):
         config_from_mapping({"master_seed": 1, key: value})
+
+
+@pytest.mark.parametrize("key,value", [("estimator_lr", 0.05), ("estimator_epochs", 5000)])
+def test_gradient_descent_keys_are_unknown(tmp_path, capsys, key, value):
+    # the estimator fit runs to the least-squares theta and takes no settings
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"master_seed": 1, "train_fl": False, key: value})
+    assert main(["--out", str(out), "run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown config key {key!r}")
+    assert not out.exists()
 
 
 def test_zero_bootstrap_rounds_without_needy_agents():

@@ -4,45 +4,11 @@ import numpy as np
 import pytest
 
 from flmarket import estimator as est
-from flmarket.estimator import EstimatorParams
+from flmarket.config import RunConfig
+from flmarket.experiment import run_experiment
 from flmarket.market import DataOwner, Quality
 
 from conftest import assert_matches_row_predict, central_difference, make_history
-
-
-def _project(theta, Q):
-    # scale theta down by the smallest factor restoring 1 + theta.q >= eps
-    dots = Q @ theta
-    m = dots.min()
-    if 1.0 + m < est.CLAMP_EPS:
-        return theta * ((est.CLAMP_EPS - 1.0) / m), True
-    return theta, False
-
-
-def reference_fit(Q, y, params):
-    """The unfused loop: step with est.gradient, project, check with est.loss.
-
-    Returns (theta, None, projected steps) on success and (None, step,
-    projected steps) where a divergence rule fires.
-    """
-    theta = np.zeros(Q.shape[1])
-    prev = est.loss(theta, Q, y)
-    bad = projections = 0
-    for step in range(params.epochs):
-        theta = theta - params.learning_rate * est.gradient(theta, Q, y)
-        theta, projected = _project(theta, Q)
-        projections += projected
-        cur = est.loss(theta, Q, y)
-        if cur > prev or (projected and cur >= prev):
-            bad += 1
-            if bad >= 10:
-                return None, step, projections
-        else:
-            bad = 0
-        prev = cur
-    if prev > est.loss(np.zeros_like(theta), Q, y):
-        return None, params.epochs - 1, projections
-    return theta, None, projections
 
 
 class TestPredict:
@@ -98,7 +64,7 @@ class TestLoss:
 
     def test_empty_history(self):
         with pytest.raises(ValueError):
-            est.fit(np.zeros((0, 3)), np.zeros(0), EstimatorParams())
+            est.fit(np.zeros((0, 3)), np.zeros(0))
 
 
 class TestGradient:
@@ -131,81 +97,98 @@ class TestFit:
         theta_star = np.array([0.5, 1.0, 2.0])
         Q, y = make_history(theta_star, 20, rng)
         initial = est.loss(np.zeros(3), Q, y)
-        theta = est.fit(Q, y, EstimatorParams(learning_rate=0.05, epochs=5000))
-        assert est.loss(theta, Q, y) <= 1e-3 * initial
+        result = est.fit(Q, y)
+        assert result.converged
+        assert result.loss <= 1e-3 * initial
+        np.testing.assert_allclose(result.theta, theta_star, rtol=1e-9)
 
     def test_single_point_interpolation(self):
         q = np.array([1.0, 0.5, 0.5])
-        theta = est.fit(q[None, :], np.array([0.8]), EstimatorParams(learning_rate=0.05, epochs=5000))
-        assert est.predict(theta, q) == pytest.approx(0.8, abs=1e-3)
+        result = est.fit(q[None, :], np.array([0.8]))
+        assert result.converged
+        assert est.predict(result.theta, q) == pytest.approx(0.8, abs=1e-3)
 
-    def test_zero_epochs(self, rng):
+    def test_iteration_cap_reports_not_converged(self, rng):
         Q, y = make_history([0.3, 0.6, 0.9], 5, rng)
-        np.testing.assert_array_equal(est.fit(Q, y, EstimatorParams(epochs=0)), np.zeros(3))
+        one = est.fit(Q, y, max_iterations=1)
+        assert one.iterations == 1 and not one.converged
+        assert one.loss <= est.loss(np.zeros(3), Q, y)
+        zero = est.fit(Q, y, max_iterations=0)
+        np.testing.assert_array_equal(zero.theta, np.zeros(3))
+        assert (zero.iterations, zero.grad_rel, zero.converged) == (0, 1.0, False)
 
-    def test_divergence_reports_step(self, rng):
+    def test_large_history_converges(self, rng):
+        # fixed-rate gradient descent overshot on this summed gradient
         Q, y = make_history([0.5, 1.0, 2.0], 500, rng)
-        with pytest.raises(est.DivergenceError) as exc:
-            est.fit(Q, y, EstimatorParams(learning_rate=0.05, epochs=5000))
-        assert exc.value.step >= 0
+        result = est.fit(Q, y)
+        assert result.converged
+        assert result.loss <= 1e-3 * est.loss(np.zeros(3), Q, y)
 
-    def test_backoff_recovers(self, rng):
-        Q, y = make_history([0.5, 1.0, 2.0], 500, rng)
-        theta, used = est.fit_with_backoff(Q, y, EstimatorParams(0.05, 5000))
-        assert used.learning_rate < 0.05
-        assert est.loss(theta, Q, y) <= 1e-3 * est.loss(np.zeros(3), Q, y)
+    def test_floor_holds_where_gradient_descent_diverged(self, rng):
+        # the labels sit on the clamp floor, so the best feasible theta is on it
+        Q, y = make_history([-0.1, -0.5, -0.9], 20, rng)
+        result = est.fit(Q, y)
+        assert min(1.0 + Q @ result.theta) >= est.CLAMP_EPS
+        assert result.loss <= est.loss(np.zeros(3), Q, y)
 
-    def test_small_rate_monotone_trajectory(self, rng):
-        # replay the update rule step by step and assert per-step descent
-        Q, y = make_history([0.5, 1.0, 2.0], 20, rng)
-        theta = np.zeros(3)
-        prev = est.loss(theta, Q, y)
-        for _ in range(2000):
-            theta = theta - 0.01 * est.gradient(theta, Q, y)
-            theta, _ = _project(theta, Q)
-            cur = est.loss(theta, Q, y)
-            assert cur <= prev + 1e-12
-            prev = cur
+    def test_each_accepted_step_lowers_the_loss(self):
+        # noisy labels make some undamped steps overshoot; those must be rejected
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            Q, y = make_history(rng.uniform(-1, 3, 3), 30, rng)
+            y = y + rng.normal(0, 2.0, len(y))
+            losses = [est.fit(Q, y, max_iterations=k).loss for k in range(30)]
+            assert all(b <= a for a, b in zip(losses, losses[1:]))
 
+    def test_zero_gradient_at_start(self):
+        # y = 0 is fitted by theta = 0 exactly
+        result = est.fit(np.array([[1.0, 0.5, 0.5], [1.0, 0.2, 0.9]]), np.zeros(2))
+        np.testing.assert_array_equal(result.theta, np.zeros(3))
+        assert (result.iterations, result.grad_rel, result.converged) == (0, 0.0, True)
 
     @pytest.mark.parametrize(
-        "theta_star,rows,lr,outcome",
+        "theta_star,rows",
         [
-            ([0.5, 1.0, 2.0], 1, 0.05, "converged"),
-            ([0.5, 1.0, 2.0], 20, 0.05, "converged"),
-            ([0.5, 1.0, 2.0], 500, 0.0125, "converged"),
-            ([-0.2, 0.5, -1.0], 20, 0.001, "projected"),
-            ([-0.1, -0.5, -0.9], 20, 0.05, "10 consecutive"),
-            ([0.0, -0.5, -0.5], 20, 0.004, "10 consecutive"),
-            ([0.5, 1.0, 2.0], 500, 0.05, "theta = 0"),
+            ([0.5, 1.0, 2.0], 1),
+            ([0.5, 1.0, 2.0], 20),
+            ([0.5, 1.0, 2.0], 500),
+            ([-0.2, 0.5, -1.0], 20),
+            ([-0.1, -0.5, -0.9], 20),
+            ([0.0, -0.5, -0.5], 20),
         ],
+        ids=["one_row", "20_rows", "500_rows", "floor_mixed", "floor_most", "zero_intercept"],
     )
-    def test_bit_identical_to_reference_loop(self, rng, theta_star, rows, lr, outcome):
+    def test_report_matches_recomputation(self, rng, theta_star, rows):
         Q, y = make_history(theta_star, rows, rng)
-        params = EstimatorParams(learning_rate=lr, epochs=5000)
-        theta, step, projections = reference_fit(Q, y, params)
-        if step is None:
-            np.testing.assert_array_equal(est.fit(Q, y, params), theta)
-            assert (projections > 0) == (outcome == "projected")
-        else:
-            with pytest.raises(est.DivergenceError, match=outcome) as exc:
-                est.fit(Q, y, params)
-            assert exc.value.step == step
-            assert (step == params.epochs - 1) == (outcome == "theta = 0")
+        result = est.fit(Q, y)
+        grad_rel = np.linalg.norm(est.gradient(result.theta, Q, y)) / np.linalg.norm(
+            est.gradient(np.zeros(3), Q, y)
+        )
+        assert result.loss == pytest.approx(est.loss(result.theta, Q, y), rel=1e-12, abs=1e-300)
+        assert result.grad_rel == pytest.approx(grad_rel, rel=1e-9, abs=1e-15)
+        assert result.converged == (result.grad_rel <= est.CONVERGED_GRAD_REL)
+        assert min(1.0 + Q @ result.theta) >= est.CLAMP_EPS
+        assert 0 < result.iterations <= 200
 
-    def test_non_finite_loss_diverges(self, rng):
-        # the first step overflows theta, so the loss is inf or NaN
-        Q, y = make_history([0.5, 1.0, 2.0], 20, rng)
-        with pytest.raises(est.DivergenceError, match="loss is (nan|inf)") as exc:
-            with np.errstate(over="ignore", invalid="ignore"):
-                est.fit(Q, y, EstimatorParams(learning_rate=1e308, epochs=50))
-        assert 0 <= exc.value.step < 50
-
-    def test_backoff_exhaustion_names_last_rate(self, rng):
-        Q, y = make_history([-0.2, 0.5, -1.0], 20, rng)
-        with pytest.raises(est.DivergenceError, match="after 2 rates, the last 0.0125") as exc:
-            est.fit_with_backoff(Q, y, EstimatorParams(0.05, 300), max_retries=2)
-        assert exc.value.step == -1
+    @pytest.mark.parametrize(
+        "seed,pool_size", [(seed, 100) for seed in range(10)] + [(4, 1000)]
+    )
+    def test_bootstrap_fits_are_stationary(self, tmp_path, seed, pool_size):
+        cfg = RunConfig(
+            master_seed=seed, pool_size=pool_size, train_fl=False, output_dir=str(tmp_path)
+        )
+        fits = 0
+        for cal in run_experiment(cfg).calibration.values():
+            if cal.fit is None:
+                continue
+            won = cal.history[cal.history["won"]]
+            Q, y = won["q"], won["utility"]
+            grad_rel = np.linalg.norm(est.gradient(cal.theta, Q, y)) / np.linalg.norm(
+                est.gradient(np.zeros(3), Q, y)
+            )
+            assert grad_rel <= 1e-6 and cal.fit.converged
+            fits += 1
+        assert fits == 4
 
 
 class TestTrueUtility:

@@ -5,6 +5,8 @@ from flmarket import fltrain
 from flmarket.fltrain import LocalDataset
 from flmarket.market import ConfigurationError, DataOwner, Quality
 
+from conftest import cross_entropy, cross_entropy_gradient
+
 
 def owner(quality=Quality.CLEAN, n=2000, oid=60, seed=5):
     return DataOwner(oid, n, quality, seed)
@@ -83,22 +85,22 @@ class TestLocalTrain:
     def test_gradient_matches_finite_differences(self, rng):
         data, _ = blobs(rng, n=30)
         w = rng.standard_normal((4, 4)) * 0.1
-        g = fltrain.cross_entropy_gradient(w, data.features, data.labels)
+        g = cross_entropy_gradient(w, data.features, data.labels)
         h = 1e-6
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
                 e = np.zeros_like(w)
                 e[i, j] = h
                 fd = (
-                    fltrain.cross_entropy(w + e, data.features, data.labels)
-                    - fltrain.cross_entropy(w - e, data.features, data.labels)
+                    cross_entropy(w + e, data.features, data.labels)
+                    - cross_entropy(w - e, data.features, data.labels)
                 ) / (2 * h)
                 assert g[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     @staticmethod
     def reference_train(w, data, steps, lr):
         for _ in range(steps):
-            w = w - lr * fltrain.cross_entropy_gradient(w, data.features, data.labels)
+            w = w - lr * cross_entropy_gradient(w, data.features, data.labels)
         return w
 
     @pytest.mark.parametrize(
@@ -133,7 +135,7 @@ class TestLocalTrain:
         data, _ = blobs(rng)
         w0 = fltrain.zero_model(4, 3)
         w = fltrain.local_train(w0, data, 100, 0.05)
-        assert fltrain.cross_entropy(w, data.features, data.labels) < fltrain.cross_entropy(
+        assert cross_entropy(w, data.features, data.labels) < cross_entropy(
             w0, data.features, data.labels
         )
 

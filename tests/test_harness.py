@@ -29,7 +29,6 @@ def small_config(seed=7, out="out", **kw):
         master_seed=seed,
         pool_size=20,
         bootstrap_rounds=8,
-        estimator_epochs=800,
         local_epochs=20,
         output_dir=out,
     )
@@ -150,7 +149,15 @@ class TestRunExperiment:
             entry = report["agents"][name]
             assert entry["c"] > 0
             assert entry["lambda"] >= 0
-            assert "estimator_final_loss" in entry
+            assert entry["c_at_bracket_edge"] is art.calibration[name].c_at_bracket_edge is False
+        for name in ("bmub", "lin", "fbs", "fbc"):
+            entry, fit = report["agents"][name], art.calibration[name].fit
+            assert entry["theta"] == fit.theta.tolist()
+            assert entry["estimator_final_loss"] == fit.loss
+            assert entry["estimator_iterations"] == fit.iterations > 0
+            assert entry["estimator_grad_rel"] == fit.grad_rel <= 1e-6
+            assert entry["estimator_converged"] is fit.converged is True
+            assert "estimator_lr_used" not in entry
 
     def test_calibration_report_lambda_note(self, tmp_path, monkeypatch):
         cfg = small_config(out=str(tmp_path / "full"), train_fl=False)
@@ -173,7 +180,7 @@ class TestCli:
     def _write_cfg(self, tmp_path, **kw):
         mapping = dict(
             master_seed=3, pool_size=15, bootstrap_rounds=6,
-            estimator_epochs=500, local_epochs=10, train_fl=False,
+            local_epochs=10, train_fl=False,
         )
         mapping.update(kw)
         path = tmp_path / "cfg.yaml"
@@ -198,16 +205,6 @@ class TestCli:
         rc = main(["run", str(path)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
-
-    def test_divergent_fit_is_reported(self, tmp_path, capsys):
-        # every learning rate of the backoff diverges, so the run stops in the fit
-        cfg = self._write_cfg(tmp_path, pool_size=10, estimator_lr=1.0e30)
-        rc = main(["--out", str(tmp_path / "out"), "run", str(cfg)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: backoff exhausted after 8 rates")
-        assert not list(tmp_path.rglob("market_*.csv"))
-        assert not (tmp_path / "out").exists()
 
     def test_sweep(self, tmp_path):
         self._write_cfg(tmp_path)

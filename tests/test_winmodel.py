@@ -162,6 +162,17 @@ class TestCalibration:
             wm.calibrate_c((np.array([0.5]), np.array([0.5]), np.array([10])), WinForm.SIMPLE)
 
     @pytest.mark.parametrize("form", list(WinForm))
+    @pytest.mark.parametrize("c_true,edge", [(1000.0, True), (1e-7, True), (2.3, False)])
+    def test_bracket_edge_flag(self, form, c_true, edge):
+        # the bracket is [1e-4, 10 * 5.0]; c_true beyond it pins c to an end
+        curve = exact_curve(form, c_true)
+        assert wm.c_bracket(curve) == (1e-4, 50.0)
+        c = wm.calibrate_c(curve, form)
+        assert wm.at_bracket_edge(curve, c) is edge
+        if not edge:
+            assert c == pytest.approx(c_true, abs=1e-4)
+
+    @pytest.mark.parametrize("form", list(WinForm))
     def test_objective_matches_per_bucket_sum(self, form, rng):
         curve = monte_carlo_curve(form, 1.8, 5_000, rng)
         for c in rng.uniform(1e-3, 20.0, 50):
