@@ -32,6 +32,37 @@ def make_history(theta_star, num_records, rng, feature_scale=1.0):
     return Q, est.predict(np.asarray(theta_star, dtype=float), Q)
 
 
+def reference_lm_fit(Q, y, max_iterations):
+    """``estimator.fit`` as its docstring states it, recomputing each quantity from theta.
+
+    Returns theta, the solves made, the loss and the relative gradient norm.
+    """
+
+    def at(theta):
+        z = 1.0 + Q @ theta
+        r = np.log(z) - y
+        J = Q / z[:, None]
+        return 0.5 * float(r @ r), est.gradient(theta, Q, y), J.T @ J
+
+    theta = np.zeros(Q.shape[1])
+    cur, g, A = at(theta)
+    g0 = np.linalg.norm(g)
+    mu = 1e-3 * np.max(np.diag(A))
+    iterations = 0
+    while iterations < max_iterations and np.linalg.norm(g) > est.GRAD_REL_TARGET * g0:
+        iterations += 1
+        trial = theta + np.linalg.solve(A + mu * np.eye(len(theta)), -g)
+        if np.array_equal(trial, theta):
+            break
+        if np.min(1.0 + Q @ trial) >= est.CLAMP_EPS and at(trial)[0] < cur:
+            theta = trial
+            cur, g, A = at(theta)
+            mu /= 3.0
+        else:
+            mu *= 2.0
+    return theta, iterations, cur, (np.linalg.norm(g) / g0 if g0 > 0 else 0.0)
+
+
 def row_predict_bound(theta, Q):
     """Per-row predict of each row of Q, and how far the matrix predict may differ.
 

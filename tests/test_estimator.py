@@ -8,7 +8,12 @@ from flmarket.config import RunConfig
 from flmarket.experiment import run_experiment
 from flmarket.market import DataOwner, Quality
 
-from conftest import assert_matches_row_predict, central_difference, make_history
+from conftest import (
+    assert_matches_row_predict,
+    central_difference,
+    make_history,
+    reference_lm_fit,
+)
 
 
 class TestPredict:
@@ -108,21 +113,39 @@ class TestFit:
         assert result.converged
         assert est.predict(result.theta, q) == pytest.approx(0.8, abs=1e-3)
 
+    def test_zero_epochs(self, rng):
+        # a cap of 0 solves returns theta = 0 unfitted
+        Q, y = make_history([0.3, 0.6, 0.9], 5, rng)
+        zero = est.fit(Q, y, max_iterations=0)
+        np.testing.assert_array_equal(zero.theta, np.zeros(3))
+        assert (zero.iterations, zero.grad_rel, zero.converged) == (0, 1.0, False)
+
     def test_iteration_cap_reports_not_converged(self, rng):
         Q, y = make_history([0.3, 0.6, 0.9], 5, rng)
         one = est.fit(Q, y, max_iterations=1)
         assert one.iterations == 1 and not one.converged
         assert one.loss <= est.loss(np.zeros(3), Q, y)
-        zero = est.fit(Q, y, max_iterations=0)
-        np.testing.assert_array_equal(zero.theta, np.zeros(3))
-        assert (zero.iterations, zero.grad_rel, zero.converged) == (0, 1.0, False)
 
-    def test_large_history_converges(self, rng):
-        # fixed-rate gradient descent overshot on this summed gradient
+    def test_backoff_recovers(self, rng):
+        # fixed-rate gradient descent overshot on this summed gradient and backed
+        # off its rate; fit_with_backoff is now one fit, and it converges
         Q, y = make_history([0.5, 1.0, 2.0], 500, rng)
-        result = est.fit(Q, y)
+        result = est.fit_with_backoff(Q, y)
         assert result.converged
         assert result.loss <= 1e-3 * est.loss(np.zeros(3), Q, y)
+        np.testing.assert_array_equal(result.theta, est.fit(Q, y).theta)
+
+    def test_small_rate_monotone_trajectory(self, rng):
+        # small steps along -gradient lower the loss at every step
+        Q, y = make_history([0.5, 1.0, 2.0], 20, rng)
+        theta = np.zeros(3)
+        prev = est.loss(theta, Q, y)
+        for _ in range(2000):
+            theta = theta - 0.01 * est.gradient(theta, Q, y)
+            assert min(1.0 + Q @ theta) >= est.CLAMP_EPS
+            cur = est.loss(theta, Q, y)
+            assert cur <= prev + 1e-12
+            prev = cur
 
     def test_floor_holds_where_gradient_descent_diverged(self, rng):
         # the labels sit on the clamp floor, so the best feasible theta is on it
@@ -147,28 +170,37 @@ class TestFit:
         assert (result.iterations, result.grad_rel, result.converged) == (0, 0.0, True)
 
     @pytest.mark.parametrize(
-        "theta_star,rows",
+        "theta_star,rows,max_iterations",
         [
-            ([0.5, 1.0, 2.0], 1),
-            ([0.5, 1.0, 2.0], 20),
-            ([0.5, 1.0, 2.0], 500),
-            ([-0.2, 0.5, -1.0], 20),
-            ([-0.1, -0.5, -0.9], 20),
-            ([0.0, -0.5, -0.5], 20),
+            ([0.5, 1.0, 2.0], 1, 200),
+            ([0.5, 1.0, 2.0], 20, 200),
+            ([0.5, 1.0, 2.0], 500, 200),
+            ([-0.2, 0.5, -1.0], 20, 200),
+            ([-0.1, -0.5, -0.9], 20, 200),
+            ([0.0, -0.5, -0.5], 20, 200),
+            ([0.5, 1.0, 2.0], 500, 0),
         ],
-        ids=["one_row", "20_rows", "500_rows", "floor_mixed", "floor_most", "zero_intercept"],
+        # each id names the learning rate the deleted gradient-descent fit
+        # was checked at on this history, and how that fit ended
+        ids=[
+            "theta_star0-1-0.05-converged",
+            "theta_star1-20-0.05-converged",
+            "theta_star2-500-0.0125-converged",
+            "theta_star3-20-0.001-projected",
+            "theta_star4-20-0.05-10 consecutive",
+            "theta_star5-20-0.004-10 consecutive",
+            "theta_star6-500-0.05-theta = 0",
+        ],
     )
-    def test_report_matches_recomputation(self, rng, theta_star, rows):
+    def test_bit_identical_to_reference_loop(self, rng, theta_star, rows, max_iterations):
         Q, y = make_history(theta_star, rows, rng)
-        result = est.fit(Q, y)
-        grad_rel = np.linalg.norm(est.gradient(result.theta, Q, y)) / np.linalg.norm(
-            est.gradient(np.zeros(3), Q, y)
-        )
-        assert result.loss == pytest.approx(est.loss(result.theta, Q, y), rel=1e-12, abs=1e-300)
-        assert result.grad_rel == pytest.approx(grad_rel, rel=1e-9, abs=1e-15)
-        assert result.converged == (result.grad_rel <= est.CONVERGED_GRAD_REL)
-        assert min(1.0 + Q @ result.theta) >= est.CLAMP_EPS
-        assert 0 < result.iterations <= 200
+        result = est.fit(Q, y, max_iterations)
+        theta, iterations, loss, grad_rel = reference_lm_fit(Q, y, max_iterations)
+        np.testing.assert_array_equal(result.theta, theta)
+        assert (result.iterations, result.loss, result.grad_rel) == (iterations, loss, grad_rel)
+        assert result.loss == pytest.approx(est.loss(theta, Q, y), rel=1e-12, abs=1e-300)
+        assert result.converged == (grad_rel <= est.CONVERGED_GRAD_REL)
+        assert min(1.0 + Q @ theta) >= est.CLAMP_EPS
 
     @pytest.mark.parametrize(
         "seed,pool_size", [(seed, 100) for seed in range(10)] + [(4, 1000)]
