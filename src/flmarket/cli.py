@@ -9,8 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import parse_config
+from .errors import ConfigurationError
 from .experiment import emit_plots, run_experiment
-from .market import ConfigurationError
 
 
 def _apply_overrides(cfg, args):

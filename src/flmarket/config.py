@@ -39,7 +39,7 @@ from typing import Optional
 import yaml
 
 from . import fltrain
-from .market import ConfigurationError
+from .errors import ConfigurationError
 from .strategies import NEEDS_THETA, Strategy, StrategyParams
 from .winmodel import WinForm
 

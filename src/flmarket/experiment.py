@@ -26,8 +26,8 @@ import numpy as np
 
 from . import estimator, fltrain, winmodel
 from .config import RunConfig, echo_config
+from .errors import ConfigurationError
 from .market import (
-    ConfigurationError,
     ConsumerAgent,
     MarketResult,
     MetricsReport,

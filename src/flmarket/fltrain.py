@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .market import ConfigurationError, DataOwner, Quality
+from .errors import ConfigurationError
+from .market import DataOwner, Quality
 
 NUM_CLASSES = 10
 FEATURE_DIM = 8
@@ -82,6 +83,37 @@ def zero_model(num_classes: int = NUM_CLASSES, dim: int = FEATURE_DIM) -> np.nda
     return np.zeros((num_classes, dim + 1))
 
 
+# numpy's pairwise sum adds up to this many terms in one block and splits
+# longer sums in halves, which _class_sum does not mirror
+_PAIRWISE_BLOCK = 128
+
+
+def _class_sum(E: np.ndarray, out: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Write the sum of the K rows of ``E`` (K, n) into ``out``.
+
+    The result has the bits of numpy's pairwise ``E.T.sum(axis=1)``: the
+    rows in turn below 8; from 8 on, the eight rows of ``acc`` (8, n) sum
+    blocks of 8, are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
+    the leftover rows are added in turn.
+    """
+    K = E.shape[0]
+    if K < 8:
+        np.copyto(out, E[0])
+        for k in range(1, K):
+            out += E[k]
+        return out
+    stop = K - K % 8
+    np.copyto(acc, E[:8])
+    for i in range(8, stop, 8):
+        acc += E[i : i + 8]
+    acc[::2] += acc[1::2]
+    acc[::4] += acc[2::4]
+    np.add(acc[0], acc[4], out=out)
+    for k in range(stop, K):
+        out += E[k]
+    return out
+
+
 def local_train(
     weights: np.ndarray,
     dataset: LocalDataset,
@@ -91,32 +123,38 @@ def local_train(
     """Full-batch gradient descent on softmax cross-entropy.
 
     Each step is ``w = w - lr * (softmax(Xa w^T) - onehot(y))^T Xa / n``
-    with Xa the features augmented by a bias column, bit for bit.  The
-    augmented features, the row index and the (n, K) probability buffer
-    are built once; each step computes the softmax in place in that
-    buffer and subtracts 1 at the true labels instead of building a
-    one-hot matrix.
+    with Xa the features augmented by a bias column.  The softmax runs on
+    a class-major (K, n) buffer, a few contiguous length-n operations per
+    step, and its normaliser adds the K rows in numpy's pairwise order
+    (``_class_sum``), so the weights equal the ``cross_entropy_gradient``
+    loop bit for bit.  Buffers are built once per call; K is at most 128.
     """
     w = weights.copy()
+    K = w.shape[0]
+    if K > _PAIRWISE_BLOCK:
+        raise ValueError(f"local_train supports at most {_PAIRWISE_BLOCK} classes, got {K}")
     Xa = _augment(dataset.features)
     y = dataset.labels
     n = len(y)
-    rows = np.arange(n)
-    p = np.empty((n, w.shape[0]))
-    row_max = np.empty(n)
+    label_index = y * n + np.arange(n)
+    # the BLAS products read and write this (n, K) twin of P, as the
+    # reference does: some BLAS kernels round (K, n) products differently
+    by_row = np.empty((n, K))
+    P = np.empty((K, n))
+    flat = P.reshape(-1)
+    col = np.empty(n)
+    acc = np.empty((8, n)) if K >= 8 else None
     for step in range(local_epochs):
-        np.matmul(Xa, w.T, out=p)
-        # max is exact, so a running maximum over the columns gives the
-        # bits of p.max(axis=1) at a fraction of its cost
-        np.copyto(row_max, p[:, 0])
-        for k in range(1, p.shape[1]):
-            np.maximum(row_max, p[:, k], out=row_max)
-        p -= row_max[:, None]
-        np.exp(p, out=p)
-        # the sum keeps the reference's layout: other orders round differently
-        p /= p.sum(axis=1, keepdims=True)
-        p[rows, y] -= 1.0
-        w = w - lr * (p.T @ Xa / n)
+        np.matmul(Xa, w.T, out=by_row)
+        np.copyto(P, by_row.T)
+        # max is exact and -, exp, / act per element: only the sum has an order
+        np.max(P, axis=0, out=col)
+        P -= col
+        np.exp(P, out=P)
+        P /= _class_sum(P, col, acc)
+        np.subtract.at(flat, label_index, 1.0)
+        np.copyto(by_row, P.T)
+        w = w - lr * (by_row.T @ Xa / n)
         if not np.all(np.isfinite(w)):
             raise FloatingPointError(f"non-finite weights at local step {step}")
     return w

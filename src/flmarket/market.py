@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import estimator
+from .errors import ConfigurationError
 from .strategies import (
     Strategy,
     StrategyParams,
@@ -30,10 +31,6 @@ from .strategies import (
     closed_form_bid,
 )
 from .winmodel import WinningFunctionModel
-
-
-class ConfigurationError(ValueError):
-    pass
 
 
 class Quality(str, Enum):

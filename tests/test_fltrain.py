@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,8 +116,22 @@ class TestLocalTrain:
             (10, 8, 1, None, Quality.CLEAN),
             (10, 8, 200, [6], Quality.CLEAN),
             (10, 8, 1500, [1, 8], Quality.BLURRED),
+            (8, 8, 700, None, Quality.CLEAN),
+            (9, 8, 700, None, Quality.BLURRED),
+            (17, 5, 700, None, Quality.BLURRED),
+            (10, 8, 10_000, None, Quality.BLURRED),
         ],
-        ids=["default", "k4_d3", "one_sample", "single_label", "blurred_niid"],
+        ids=[
+            "default",
+            "k4_d3",
+            "one_sample",
+            "single_label",
+            "blurred_niid",
+            "k8_one_block",
+            "k9_block_and_rest",
+            "k17_two_blocks_and_rest",
+            "largest_owner",
+        ],
     )
     def test_bit_identical_to_gradient_loop(self, rng, K, d, n, classes, quality):
         centers = fltrain.make_class_centers(rng, K, d)
@@ -123,6 +142,53 @@ class TestLocalTrain:
             fltrain.local_train(w0, data, local_epochs=100, lr=0.05),
             self.reference_train(w0, data, 100, 0.05),
         )
+
+    def test_bit_identical_under_sse3_blas_kernels(self):
+        # OpenBLAS rounds logits or gradient products taken on (K, n) buffers
+        # like the row-major ones only on some kernels; its SSE3 kernels run
+        # on any x86-64 host and round them differently.  Other BLAS builds
+        # ignore the variable, and this repeats the check above.
+        code = (
+            "import numpy as np\n"
+            "from flmarket import fltrain\n"
+            "from flmarket.market import DataOwner, Quality\n"
+            "from test_fltrain import TestLocalTrain\n"
+            "rng = np.random.default_rng(3)\n"
+            "centers = fltrain.make_class_centers(rng)\n"
+            "data = fltrain.synth_dataset(DataOwner(1, 500, Quality.BLURRED, 2), centers, 0.4, rng)\n"
+            "w0 = fltrain.zero_model()\n"
+            "np.testing.assert_array_equal(fltrain.local_train(w0, data, 20, 0.05),\n"
+            "                              TestLocalTrain.reference_train(w0, data, 20, 0.05))\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("K", [1, 3, 7, 8, 9, 10, 15, 16, 17, 24, 63, 127, 128])
+    def test_class_sum_has_the_bits_of_the_row_sum(self, rng, K):
+        E = np.exp(3 * rng.standard_normal((K, 257)))
+        out, acc = np.empty(257), np.empty((8, 257))
+        np.testing.assert_array_equal(
+            fltrain._class_sum(E, out, acc), np.ascontiguousarray(E.T).sum(axis=1)
+        )
+
+    def test_more_than_128_classes_rejected(self, rng):
+        data, _ = blobs(rng, n=20)
+        with pytest.raises(ValueError, match="at most 128 classes"):
+            fltrain.local_train(fltrain.zero_model(129, 3), data, 1, 0.1)
+
+    def test_inputs_unchanged(self, rng):
+        data = fltrain.synth_dataset(
+            owner(Quality.BLURRED, 300), fltrain.make_class_centers(rng), 0.4, rng
+        )
+        w0 = 0.1 * rng.standard_normal((fltrain.NUM_CLASSES, fltrain.FEATURE_DIM + 1))
+        copies = w0.copy(), data.features.copy(), data.labels.copy()
+        w = fltrain.local_train(w0, data, 10, 0.05)
+        for before, after in zip(copies, (w0, data.features, data.labels)):
+            np.testing.assert_array_equal(after, before)
+        assert not np.shares_memory(w, w0)
 
     def test_non_finite_weights_name_the_step(self, rng):
         data, _ = blobs(rng, n=50, spread=1e150)
