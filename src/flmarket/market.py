@@ -7,7 +7,11 @@ agent's remaining budget are clamped to the remaining budget, so spend
 never exceeds the budget.
 
 Raw bids never depend on budget state, so the market computes them as
-one column per agent up front; the loop only clamps and clears.
+one column per agent up front and then clears them in segments: each
+segment clamps a block of rows to the budgets left at its first row and
+clears the block at once, up to the first row whose clamped bids the
+block's own wins would change.  The outcomes have the bits of clearing
+one row at a time.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ class ConsumerAgent:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.budget <= 0:
+        if not self.budget > 0:  # written so that NaN fails too
             raise ConfigurationError(f"budget must be positive for agent {self.name}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ConfigurationError("lambda must be non-negative")
 
 
@@ -139,6 +143,63 @@ def _raw_bids(agent: ConsumerAgent, Q: np.ndarray, rng: np.random.Generator) -> 
     return closed_form_bid(s, agent.win_model, agent.lam)
 
 
+def _live(raw: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+    """Bids clamped to the remaining budgets; NaN where a budget is spent."""
+    return np.where(remaining > 0, np.minimum(raw, remaining), np.nan)
+
+
+def _clear(raw: np.ndarray, budgets: Sequence[float], names: Sequence[str],
+           tie_rng: np.random.Generator):
+    """Clear the rows of ``raw`` in auction order: (clamped bids, winner, price) per row.
+
+    Each segment clamps a window of rows to the budgets left at its first row
+    and clears them at once.  The running budgets are subtracted left to right,
+    so they have the bits of one subtraction per win.  The segment keeps the
+    rows before the first one whose clamped bids those budgets would change,
+    and the next segment starts there.  Ties draw one ``tie_rng`` integer each,
+    in row order; draws for rows past a cut are undone by restoring the state.
+    """
+    n, m = raw.shape
+    by_name = np.array(sorted(range(m), key=names.__getitem__))  # tie order
+    bids, winner, price = np.empty((n, m)), np.empty(n, np.int64), np.empty(n)
+    left = np.array(budgets, dtype=float)
+    start, window = 0, 32
+    while start < n:
+        rows = raw[start : start + window]
+        live = _live(rows, left)
+        positive = live > 0
+        best = np.where(positive, live, 0.0).max(axis=1)
+        top = (positive & (live == best[:, None]))[:, by_name]
+        won = by_name[top.argmax(axis=1)]
+        won[best == 0] = -1
+        counts = top.sum(axis=1)
+        ties = np.flatnonzero(counts > 1)
+        state = tie_rng.bit_generator.state
+        picks = np.array([tie_rng.integers(k) for k in counts[ties].tolist()], dtype=np.int64)
+        # each tie goes to its picks-th top bid in name order
+        won[ties] = by_name[(top[ties].cumsum(axis=1) > picks[:, None]).argmax(axis=1)]
+        sold = np.flatnonzero(won >= 0)
+        steps = np.zeros((len(rows) + 1, m))
+        steps[0] = left
+        steps[sold + 1, won[sold]] = best[sold]
+        running = np.subtract.accumulate(steps, axis=0)
+        after = _live(rows, running[:-1])
+        changed = ((after != live) & ~(np.isnan(after) & np.isnan(live))).any(axis=1)
+        # row 0 was clamped to these very budgets: argmax is 0 only when no row changed
+        kept = int(changed.argmax()) or len(rows)
+        if ties.size and ties[-1] >= kept:
+            tie_rng.bit_generator.state = state  # redraw only the kept rows' ties
+            for k in counts[ties[ties < kept]].tolist():
+                tie_rng.integers(k)
+        end = start + kept
+        bids[start:end], winner[start:end], price[start:end] = live[:kept], won[:kept], best[:kept]
+        left = running[kept]
+        # widen while whole windows clear; after a cut, budgets run out about that often
+        window = 2 * window if kept == len(rows) else 2 * kept
+        start = end
+    return bids, winner, price
+
+
 def run_market(
     agents: Sequence[ConsumerAgent],
     pool: Sequence[DataOwner],
@@ -148,8 +209,9 @@ def run_market(
 
     Strategy randomness is drawn for every agent at every request
     (regardless of budget state) so bid streams stay aligned across
-    runs that differ only in one agent's budget.  The agents are not
-    modified: the remaining budgets live in the clearing loop.
+    runs that differ only in one agent's budget.  The rows are cleared in
+    segments by ``_clear``, with the bits of a row-by-row clearing.  The
+    agents are not modified: the remaining budgets live in ``_clear``.
     """
     if len(agents) == 0 or len(pool) == 0:
         raise ConfigurationError("need at least one agent and one owner")
@@ -165,19 +227,7 @@ def run_market(
     Q = request_features(out["owner_id"], out["num_samples"], len(pool))
     raw = np.column_stack([_raw_bids(a, Q, r) for a, r in zip(agents, agent_rngs)])
 
-    remaining = [a.budget for a in agents]
-    by_name = sorted(range(len(names)), key=names.__getitem__)  # tie order
-    cleared = []
-    for row in raw.tolist():
-        live = [min(b, left) if left > 0 else math.nan for b, left in zip(row, remaining)]
-        best = max((b for b in live if b > 0), default=0.0)
-        j = -1
-        if best > 0:
-            top = [i for i in by_name if live[i] == best]
-            j = top[0] if len(top) == 1 else top[int(tie_rng.integers(len(top)))]
-            remaining[j] -= best
-        cleared.append((live, j, best))
-    out["bids"], out["winner"], out["price"] = zip(*cleared)
+    out["bids"], out["winner"], out["price"] = _clear(raw, [a.budget for a in agents], names, tie_rng)
     return MarketResult(names, out)
 
 

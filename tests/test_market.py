@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from flmarket import estimator as est
 from flmarket import strategies as st
@@ -13,6 +16,7 @@ from flmarket.market import (
     compute_metrics,
     generate_do_pool,
     outcome_dtype,
+    _clear,
     request_features,
     run_market,
 )
@@ -83,6 +87,31 @@ def reference_market(agents, pool, rng):
     return out
 
 
+def scalar_clear(raw, budgets, names, tie_rng):
+    """Clear ``raw`` one row at a time: clamp to the budgets left, take the top bid, pay it."""
+    left = list(budgets)
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    bids, winner, price = np.empty(raw.shape), np.empty(len(raw), np.int64), np.empty(len(raw))
+    for r, row in enumerate(raw.tolist()):
+        live = [min(b, x) if x > 0 else math.nan for b, x in zip(row, left)]
+        best = max((b for b in live if b > 0), default=0.0)
+        j = -1
+        if best > 0:
+            top = [i for i in by_name if live[i] == best]
+            j = top[0] if len(top) == 1 else top[int(tie_rng.integers(len(top)))]
+            left[j] -= best
+        bids[r], winner[r], price[r] = live, j, best
+    return bids, winner, price
+
+
+def same_as_reference(agents, pool, seed):
+    """The market's outcomes, after checking that they have the bits of ``reference_market``'s."""
+    expected = reference_market(agents, pool, np.random.default_rng(seed))
+    got = run_market(agents, pool, np.random.default_rng(seed)).outcomes
+    assert got.tobytes() == expected.tobytes()
+    return got
+
+
 def random_agents(seed, strategies):
     """One agent per strategy plus two more, in random order; sorted names run backwards.
 
@@ -107,6 +136,23 @@ def random_agents(seed, strategies):
             )
         )
     return agents
+
+
+class TestConsumerAgent:
+    @pytest.mark.parametrize("key", ["budget", "lam"])
+    def test_nan_rejected(self, key):
+        values = {"budget": 1.0, "lam": 0.0, key: math.nan}
+        with pytest.raises(ConfigurationError):
+            ConsumerAgent("a", Strategy.CONST, **values)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_non_positive_budget_rejected(self, budget):
+        with pytest.raises(ConfigurationError, match="budget must be positive"):
+            ConsumerAgent("a", Strategy.CONST, budget)
+
+    def test_infinite_budget_accepted(self):
+        # the bootstrap markets run with unlimited budgets
+        assert ConsumerAgent("a", Strategy.RAND, math.inf).budget == math.inf
 
 
 class TestBidRequest:
@@ -305,14 +351,50 @@ class TestReferenceLoop:
         assert got.tobytes() == expected.tobytes()
 
     def test_reference_markets_reach_ties_and_spent_budgets(self):
-        ties = spent = 0
+        ties = spent = clamped = 0
         for seed in range(8):
             agents = random_agents(seed, (Strategy.CONST, Strategy.RAND))
             out = reference_market(agents, generate_do_pool(40, (1000, 10000), seed), np.random.default_rng(seed))
             bids = out["bids"]
             ties += np.sum(np.sum(bids == out["price"][:, None], axis=1) > 1)
             spent += np.sum(np.isnan(bids))
-        assert ties > 0 and spent > 0
+            # a clamped win pays the winner's whole remaining budget; it ends a clearing segment
+            left = [a.budget for a in agents]
+            for j, price in zip(out["winner"].tolist(), out["price"].tolist()):
+                if j >= 0:
+                    clamped += price == left[j]
+                    left[j] -= price
+        assert ties > 0 and spent > 0 and clamped > 0
+
+    def test_tie_on_every_row(self):
+        pool = generate_do_pool(1000, (1000, 10000), 11)
+        agents = [const_agent("b", 1e6, 0.5), const_agent("a", 1e6, 0.5)]
+        got = same_as_reference(agents, pool, 11)
+        assert set(got["winner"].tolist()) == {0, 1}
+
+    def test_budgets_spent_early(self):
+        pool = generate_do_pool(1000, (1000, 10000), 12)
+        budgets = np.random.default_rng(12).uniform(3.0, 8.0, 6)
+        agents = [rand_agent(f"r{j}", float(b)) for j, b in enumerate(budgets)]
+        got = same_as_reference(agents, pool, 12)
+        assert np.all(np.isnan(got["bids"][100:]))
+
+    def test_infinite_budgets(self):
+        pool = generate_do_pool(1000, (1000, 10000), 13)
+        agents = [rand_agent(f"r{j}", math.inf, 0.5 + 0.1 * j) for j in range(6)]
+        got = same_as_reference(agents, pool, 13)
+        assert np.all(got["winner"] >= 0)
+
+    def test_ties_right_after_a_cut(self):
+        # c ties a and b until its second win leaves 0.2; the next row is the
+        # first a-b tie, so a tie draw leaked past that cut, or repeated,
+        # would change the winners after it
+        pool = generate_do_pool(200, (1000, 10000), 14)
+        agents = [const_agent("c", 1.2, 0.5), const_agent("b", 1e6, 0.5), const_agent("a", 1e6, 0.5)]
+        got = same_as_reference(agents, pool, 14)
+        second_win = np.flatnonzero(got["winner"] == 0)[1]
+        assert got["bids"][second_win + 1].tolist() == [pytest.approx(0.2), 0.5, 0.5]
+        assert set(got["winner"][second_win + 1 :].tolist()) == {1, 2}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_six_strategies_within_predict_bound(self, seed):
@@ -337,6 +419,31 @@ class TestReferenceLoop:
             live = ~np.isnan(want)
             assert np.all(np.abs(have - want)[live] <= tol[live]), agent.name
         np.testing.assert_allclose(got["price"], expected["price"], rtol=1e-13, atol=0)
+
+
+class TestClear:
+    """Segment clearing against a row-by-row clearing of the same raw bids."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=hs.data(),
+        m=hs.integers(1, 5),
+        n=hs.integers(1, 120),
+        seed=hs.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_scalar_clearing(self, data, m, n, seed):
+        # a coarse grid makes ties common; budgets from 1e-3 to unlimited
+        grid = hs.sampled_from([-0.0, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
+        raw = data.draw(hnp.arrays(float, (n, m), elements=grid))
+        budget = hs.sampled_from([1e-3, 0.1, 0.5, 1.0, 2.0, math.inf]) | hs.floats(1e-3, 20.0)
+        budgets = data.draw(hs.lists(budget, min_size=m, max_size=m))
+        names = [f"a{i}" for i in data.draw(hs.permutations(range(m)))]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _clear(raw, budgets, names, got_rng)
+        want = scalar_clear(raw, budgets, names, want_rng)
+        for have, expected in zip(got, want):
+            assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestMetrics:
