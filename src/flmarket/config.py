@@ -25,9 +25,9 @@ Schema (all keys optional except master_seed):
 Unknown keys, and values of the wrong type (a bool is not a number), are
 rejected (with a closest-match suggestion for a key).  The estimator
 fit takes no keys: it runs to the least-squares theta, and its clamp
-floor on 1 + theta.q is estimator.CLAMP_EPS (1e-6).  Each
-agent's bootstrap history is one structured array (q, bid, won, utility)
-of bootstrap_rounds * pool_size rows.
+floor on 1 + theta.q is estimator.CLAMP_EPS (1e-6).  The bootstrap
+history is one structured array that all agents share: the bootstrap
+markets' outcome rows, bootstrap_rounds * pool_size of them.
 """
 
 from __future__ import annotations

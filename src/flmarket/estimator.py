@@ -108,15 +108,16 @@ def fit(Q: np.ndarray, y: np.ndarray, max_iterations: int = 200) -> FitResult:
 BLUR_DISCOUNT = 0.4
 
 
-def true_utility(owner) -> float:
-    """Ground-truth utility of recruiting an owner: g * ln(1 + n/1000).
+def true_utility(num_samples, blurred) -> np.ndarray:
+    """Ground-truth utility of recruiting owners: g * ln(1 + n/1000).
 
+    ``num_samples`` and ``blurred`` are arrays with one entry per owner.
     The quality factor g is 1.0 for clean owners and BLUR_DISCOUNT for
     blurred ones, so utility grows concavely with quantity and is
     discounted for low-quality data.
     """
-    g = BLUR_DISCOUNT if owner.quality == "blurred" else 1.0
-    return g * float(np.log1p(owner.num_samples / 1000.0))
+    g = np.where(blurred, BLUR_DISCOUNT, 1.0)
+    return g * np.log1p(np.asarray(num_samples) / 1000.0)
 
 
 def fit_with_backoff(Q, y) -> FitResult:

@@ -1,9 +1,10 @@
 """Two-phase experiment protocol and artifact emission.
 
 Phase 1 (bootstrap): warm-up markets where every agent bids uniformly
-at random build each consumer's auction history.  Consumers that need
-utility estimates fit theta on their won records; closed-form consumers
-additionally calibrate their win model and solve the budget multiplier.
+at random build one auction history that all consumers share.  Consumers
+that need utility estimates fit theta on the records they won;
+closed-form consumers additionally calibrate their win model and solve
+the budget multiplier.
 
 Phase 2 (market): the competitive market runs once over the pool, then
 each consumer trains a FedAvg model on the owners it won.
@@ -30,21 +31,22 @@ from .errors import ConfigurationError
 from .market import (
     ConsumerAgent,
     MarketResult,
-    MetricsReport,
     compute_metrics,
     generate_do_pool,
+    outcome_dtype,
     request_features,
     run_market,
 )
 from .strategies import NEEDS_THETA, LambdaSolution, Strategy, solve_lambda
-from .winmodel import WinningFunctionModel, at_bracket_edge, calibrate_c, empirical_win_curve
+from .winmodel import (
+    InsufficientDataError,
+    WinningFunctionModel,
+    at_bracket_edge,
+    calibrate_c,
+    empirical_win_curve,
+)
 
 _CLOSED_FORM = (Strategy.FBS, Strategy.FBC)
-
-# One row per auction an agent bid in; utility is NaN where it lost.
-HISTORY_DTYPE = np.dtype(
-    [("q", float, 3), ("bid", float), ("won", bool), ("utility", float)]
-)
 
 
 @dataclass
@@ -53,7 +55,7 @@ class AgentCalibration:
     win_model: Optional[WinningFunctionModel] = None
     c_at_bracket_edge: Optional[bool] = None
     lambda_solution: Optional[LambdaSolution] = None
-    history: Optional[np.ndarray] = None  # HISTORY_DTYPE rows
+    history: Optional[np.ndarray] = None  # the bootstrap markets' outcome_dtype rows, shared
 
     @property
     def theta(self) -> Optional[np.ndarray]:
@@ -64,61 +66,57 @@ class AgentCalibration:
 class RunArtifacts:
     config: RunConfig
     result: MarketResult
-    metrics: MetricsReport
+    metrics: dict  # agent name -> AgentMetrics
     calibration: dict  # agent name -> AgentCalibration
     market_csv: Path
     summary_csv: Path
     calibration_report: Path
 
 
-def bootstrap_history(cfg: RunConfig, pool, rng: np.random.Generator) -> dict:
+def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator) -> dict:
     """Warm-up markets with all-random bidding, then per-agent calibration.
 
     Bootstrap budgets are unconstrained: the warm-up exists to explore
-    the bid range, not to spend real money.
+    the bid range, not to spend real money.  Every agent bids in every
+    auction, so the markets' outcome rows are one history for all of
+    them: agent j's bids are ``history["bids"][:, j]`` and it won where
+    ``history["winner"] == j``.
     """
     params = cfg.strategy_params()
     names = [a.name for a in cfg.agents]
     n = len(pool)
-    histories = {name: np.empty(cfg.bootstrap_rounds * n, HISTORY_DTYPE) for name in names}
-    utility = np.zeros(max(o.id for o in pool) + 1)  # indexed by owner id
-    utility[[o.id for o in pool]] = [estimator.true_utility(o) for o in pool]
     boot_agents = [
         ConsumerAgent(name=name, strategy=Strategy.RAND, budget=math.inf, params=params)
         for name in names
     ]
+    history = np.empty(cfg.bootstrap_rounds * n, outcome_dtype(len(names)))
     for r in range(cfg.bootstrap_rounds):
-        out = run_market(boot_agents, pool, rng.spawn(1)[0]).outcomes
-        # every agent bids in every auction: budgets are unlimited
-        Q = request_features(out["owner_id"], out["num_samples"], n)
-        u = utility[out["owner_id"]]
-        for j, name in enumerate(names):
-            rows = histories[name][r * n : (r + 1) * n]
-            rows["q"] = Q
-            rows["bid"] = out["bids"][:, j]
-            rows["won"] = out["winner"] == j
-            rows["utility"] = np.where(rows["won"], u, np.nan)
+        history[r * n : (r + 1) * n] = run_market(boot_agents, pool, rng.spawn(1)[0]).outcomes
+    Q = request_features(history["owner_id"], history["num_samples"], n)
+    utility = estimator.true_utility(history["num_samples"], pool["blurred"][history["owner_id"] - 1])
 
     calibration = {}
-    for spec in cfg.agents:
-        history = histories[spec.name]
+    for j, spec in enumerate(cfg.agents):
+        won = history["winner"] == j
         cal = AgentCalibration(history=history)
         if spec.strategy in NEEDS_THETA:
-            won = history[history["won"]]
-            if len(won) == 0:
+            if not won.any():
                 raise ConfigurationError(
                     f"agent {spec.name} won no bootstrap auctions; "
                     "increase bootstrap_rounds or rand_max"
                 )
-            # contiguous copies: the fit reads them once per iteration
-            Q, y = np.ascontiguousarray(won["q"]), np.ascontiguousarray(won["utility"])
-            cal.fit = estimator.fit_with_backoff(Q, y)
+            cal.fit = estimator.fit_with_backoff(Q[won], utility[won])
         if spec.strategy in _CLOSED_FORM:
-            curve = empirical_win_curve(history["bid"], history["won"], cfg.num_buckets)
-            c = calibrate_c(curve, spec.form)
+            try:
+                curve = empirical_win_curve(history["bids"][:, j], won, cfg.num_buckets)
+                c = calibrate_c(curve, spec.form)
+            except InsufficientDataError as exc:
+                raise ConfigurationError(
+                    f"agent {spec.name} cannot calibrate its win model: {exc}"
+                ) from None
             cal.win_model = WinningFunctionModel(spec.form, c)
             cal.c_at_bracket_edge = at_bracket_edge(curve, c)
-            samples = estimator.predict(cal.theta, np.ascontiguousarray(history["q"]))
+            samples = estimator.predict(cal.theta, Q)
             cal.lambda_solution = solve_lambda(
                 samples, cal.win_model, cfg.scaled_budget(spec), cfg.pool_size
             )
@@ -145,22 +143,22 @@ def build_market_agents(cfg: RunConfig, calibration: dict) -> list:
     return agents
 
 
-def train_federated(cfg: RunConfig, pool, result: MarketResult, rng: np.random.Generator) -> dict:
+def train_federated(
+    cfg: RunConfig, pool: np.ndarray, result: MarketResult, rng: np.random.Generator
+) -> dict:
     """Per-agent FedAvg over won owners; returns agent -> test accuracy."""
     centers_rng, shard_rng, test_rng = rng.spawn(3)
     centers = fltrain.make_class_centers(centers_rng)
     K = centers.shape[0]
     mode, shards = fltrain.partition_mode(cfg.partition, cfg.shards_per_owner, K)
-    class_support = {}
-    for owner in pool:
-        if mode == "niid":
-            class_support[owner.id] = np.sort(shard_rng.choice(K, shards, replace=False))
-        else:
-            class_support[owner.id] = None
+    # one draw per pool row, in pool order, whether or not the owner is won
+    class_support = [
+        np.sort(shard_rng.choice(K, shards, replace=False)) if mode == "niid" else None
+        for _ in range(len(pool))
+    ]
     test_labels = test_rng.integers(0, K, 2000)
     test_X = centers[test_labels] + test_rng.standard_normal((2000, centers.shape[1]))
 
-    owners = {o.id: o for o in pool}
     accuracy = {}
     for j, name in enumerate(result.agent_names):
         won_ids = np.sort(result.outcomes["owner_id"][result.outcomes["winner"] == j]).tolist()
@@ -169,13 +167,14 @@ def train_federated(cfg: RunConfig, pool, result: MarketResult, rng: np.random.G
             continue
         updates = []
         for oid in won_ids:
-            owner = owners[oid]
+            _, num_samples, blurred, local_seed = pool[oid - 1].tolist()
             data = fltrain.synth_dataset(
-                owner,
+                num_samples,
+                blurred,
                 centers,
                 cfg.noise_rate_blurred,
-                np.random.default_rng(owner.local_seed),
-                classes=class_support[oid],
+                np.random.default_rng(local_seed),
+                classes=class_support[oid - 1],
             )
             w = fltrain.local_train(
                 fltrain.zero_model(K, centers.shape[1]),
@@ -183,7 +182,7 @@ def train_federated(cfg: RunConfig, pool, result: MarketResult, rng: np.random.G
                 local_epochs=cfg.local_epochs,
                 lr=cfg.fl_lr,
             )
-            updates.append((w, owner.num_samples))
+            updates.append((w, num_samples))
         accuracy[name] = fltrain.evaluate(fltrain.fedavg(updates), test_X, test_labels)
     return accuracy
 
@@ -228,12 +227,12 @@ def write_market_csv(path, result: MarketResult):
             w.writerow([i, oid, n, *cells, names[winner] if winner >= 0 else "", repr(price)])
 
 
-def write_summary_csv(path, cfg: RunConfig, metrics: MetricsReport, accuracy: dict):
+def write_summary_csv(path, cfg: RunConfig, metrics: dict):
     specs = {a.name: a for a in cfg.agents}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(summary_csv_header(cfg.partition))
-        for name, m in metrics.per_agent.items():
+        for name, m in metrics.items():
             spec = specs[name]
             w.writerow(
                 [
@@ -243,7 +242,7 @@ def write_summary_csv(path, cfg: RunConfig, metrics: MetricsReport, accuracy: di
                     m.total_samples,
                     _fmt(m.unit_price_per_1000),
                     _fmt(m.spend),
-                    _fmt(accuracy.get(name)),
+                    _fmt(m.fl_accuracy),
                 ]
             )
 
@@ -288,14 +287,9 @@ def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifa
     agents = build_market_agents(cfg, calibration)
     result = run_market(agents, pool, market_rng)
     metrics = compute_metrics(result)
-    do_fl = cfg.train_fl if train_fl is None else train_fl
-    accuracy = (
-        train_federated(cfg, pool, result, fl_rng)
-        if do_fl
-        else {n: None for n in result.agent_names}
-    )
-    for name, m in metrics.per_agent.items():
-        m.fl_accuracy = accuracy[name]
+    if cfg.train_fl if train_fl is None else train_fl:
+        for name, accuracy in train_federated(cfg, pool, result, fl_rng).items():
+            metrics[name].fl_accuracy = accuracy
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -304,7 +298,7 @@ def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifa
     summary_csv = out / f"summary_{tag}.csv"
     calibration_report = out / f"calibration_{tag}.json"
     write_market_csv(market_csv, result)
-    write_summary_csv(summary_csv, cfg, metrics, accuracy)
+    write_summary_csv(summary_csv, cfg, metrics)
     write_calibration_report(calibration_report, cfg, calibration)
     (out / f"config_echo_{tag}.json").write_text(
         json.dumps(echo_config(cfg), indent=2, sort_keys=True) + "\n"

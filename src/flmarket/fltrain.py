@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .market import DataOwner, Quality
 
 NUM_CLASSES = 10
 FEATURE_DIM = 8
@@ -27,7 +26,6 @@ CENTER_SPREAD = 1.5
 class LocalDataset:
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,) ints in [0, K)
-    owner_id: int
 
 
 def make_class_centers(
@@ -50,13 +48,14 @@ def partition_mode(partition: str, shards_per_owner: int, num_classes: int = NUM
 
 
 def synth_dataset(
-    owner: DataOwner,
+    num_samples: int,
+    blurred: bool,
     centers: np.ndarray,
     noise_rate_blurred: float,
     rng: np.random.Generator,
     classes: Optional[np.ndarray] = None,
 ) -> LocalDataset:
-    """Per-owner synthetic data around the global class centers.
+    """One owner's ``num_samples`` synthetic points around the global class centers.
 
     ``classes`` restricts the owner's label support (non-IID shards);
     defaults to all classes.  Blurred owners have a noise_rate_blurred
@@ -65,14 +64,13 @@ def synth_dataset(
     num_classes, dim = centers.shape
     if classes is None:
         classes = np.arange(num_classes)
-    n = owner.num_samples
-    labels = rng.choice(classes, size=n)
-    features = centers[labels] + rng.standard_normal((n, dim))
-    if owner.quality is Quality.BLURRED and noise_rate_blurred > 0:
-        mask = rng.random(n) < noise_rate_blurred
+    labels = rng.choice(classes, size=num_samples)
+    features = centers[labels] + rng.standard_normal((num_samples, dim))
+    if blurred and noise_rate_blurred > 0:
+        mask = rng.random(num_samples) < noise_rate_blurred
         labels = labels.copy()
         labels[mask] = rng.integers(0, num_classes, int(mask.sum()))
-    return LocalDataset(features=features, labels=labels, owner_id=owner.id)
+    return LocalDataset(features=features, labels=labels)
 
 
 def _augment(X: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,17 +36,9 @@ from .strategies import (
 from .winmodel import WinningFunctionModel
 
 
-class Quality(str, Enum):
-    CLEAN = "clean"
-    BLURRED = "blurred"
-
-
-@dataclass(frozen=True)
-class DataOwner:
-    id: int
-    num_samples: int
-    quality: Quality
-    local_seed: int
+# One row per data owner; ``blurred`` marks the low-quality owners.
+POOL_DTYPE = np.dtype([("id", np.int64), ("num_samples", np.int64),
+                       ("blurred", bool), ("local_seed", np.int64)])
 
 
 @dataclass
@@ -91,15 +82,11 @@ class AgentMetrics:
     fl_accuracy: Optional[float] = None
 
 
-@dataclass
-class MetricsReport:
-    per_agent: dict  # agent name -> AgentMetrics
+def generate_do_pool(pool_size: int, sample_range: tuple, master_seed) -> np.ndarray:
+    """The owner pool as ``POOL_DTYPE`` rows with ids 1..pool_size in row order.
 
-
-def generate_do_pool(
-    pool_size: int, sample_range: tuple, master_seed
-) -> list[DataOwner]:
-    """Create the owner pool: sizes uniform in sample_range, first half blurred."""
+    Sizes are uniform in sample_range and the first half is blurred.
+    """
     lo, hi = sample_range
     if pool_size < 2:
         raise ConfigurationError(f"pool_size must be >= 2, got {pool_size}")
@@ -110,13 +97,12 @@ def generate_do_pool(
         if isinstance(master_seed, np.random.Generator)
         else np.random.default_rng(master_seed)
     )
-    half = math.ceil(pool_size / 2)
-    pool = []
-    for i in range(1, pool_size + 1):
-        n = int(rng.integers(lo, hi + 1))
-        seed = int(rng.integers(0, 2**31 - 1))
-        tier = Quality.BLURRED if i <= half else Quality.CLEAN
-        pool.append(DataOwner(id=i, num_samples=n, quality=tier, local_seed=seed))
+    pool = np.zeros(pool_size, POOL_DTYPE)
+    pool["id"] = np.arange(1, pool_size + 1)
+    pool["blurred"][: math.ceil(pool_size / 2)] = True
+    # two scalar draws per owner, size then seed: every output depends on this order
+    draws = [(rng.integers(lo, hi + 1), rng.integers(0, 2**31 - 1)) for _ in range(pool_size)]
+    pool["num_samples"], pool["local_seed"] = np.array(draws, dtype=np.int64).T
     return pool
 
 
@@ -202,7 +188,7 @@ def _clear(raw: np.ndarray, budgets: Sequence[float], names: Sequence[str],
 
 def run_market(
     agents: Sequence[ConsumerAgent],
-    pool: Sequence[DataOwner],
+    pool: np.ndarray,
     rng: np.random.Generator,
 ) -> MarketResult:
     """Run one sealed-bid market over the full request stream.
@@ -222,8 +208,8 @@ def run_market(
     order = order_rng.permutation(len(pool))
 
     out = np.zeros(len(pool), outcome_dtype(len(agents)))
-    out["owner_id"] = np.array([o.id for o in pool])[order]
-    out["num_samples"] = np.array([o.num_samples for o in pool])[order]
+    out["owner_id"] = pool["id"][order]
+    out["num_samples"] = pool["num_samples"][order]
     Q = request_features(out["owner_id"], out["num_samples"], len(pool))
     raw = np.column_stack([_raw_bids(a, Q, r) for a, r in zip(agents, agent_rngs)])
 
@@ -231,8 +217,8 @@ def run_market(
     return MarketResult(names, out)
 
 
-def compute_metrics(result: MarketResult) -> MetricsReport:
-    """Wins, samples and spend per agent; spend adds prices in auction order."""
+def compute_metrics(result: MarketResult) -> dict:
+    """Agent name -> AgentMetrics: wins, samples and spend; spend adds prices in auction order."""
     sold = result.outcomes[result.outcomes["winner"] >= 0]
     n = len(result.agent_names)
     wins = np.bincount(sold["winner"], minlength=n)
@@ -243,4 +229,4 @@ def compute_metrics(result: MarketResult) -> MetricsReport:
         total, sp = int(samples[j]), float(spend[j])
         unit_price = sp / (total / 1000.0) if total > 0 else None
         per_agent[name] = AgentMetrics(int(wins[j]), total, sp, unit_price)
-    return MetricsReport(per_agent=per_agent)
+    return per_agent

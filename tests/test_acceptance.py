@@ -147,7 +147,7 @@ def test_criterion_8_market_advantage_over_lin(tmp_path):
                 master_seed=seed, budget=budget,
                 output_dir=str(tmp_path / f"b{int(budget)}s{seed}"), train_fl=False,
             )
-            pa = run_experiment(cfg).metrics.per_agent
+            pa = run_experiment(cfg).metrics
             lin = pa["lin"]
 
             def beats(fb):
@@ -179,7 +179,7 @@ def test_criterion_9_fl_accuracy_ordering(tmp_path):
                 master_seed=seed, partition=mode,
                 output_dir=str(tmp_path / f"{mode}{seed}"),
             )
-            for name, m in run_experiment(cfg).metrics.per_agent.items():
+            for name, m in run_experiment(cfg).metrics.items():
                 acc.setdefault((mode, name), []).append(m.fl_accuracy)
 
     def mean(mode, name):

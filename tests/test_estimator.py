@@ -6,7 +6,7 @@ import pytest
 from flmarket import estimator as est
 from flmarket.config import RunConfig
 from flmarket.experiment import run_experiment
-from flmarket.market import DataOwner, Quality
+from flmarket.market import request_features
 
 from conftest import (
     assert_matches_row_predict,
@@ -210,11 +210,15 @@ class TestFit:
             master_seed=seed, pool_size=pool_size, train_fl=False, output_dir=str(tmp_path)
         )
         fits = 0
-        for cal in run_experiment(cfg).calibration.values():
+        calibration = run_experiment(cfg).calibration
+        for j, spec in enumerate(cfg.agents):
+            cal = calibration[spec.name]
             if cal.fit is None:
                 continue
-            won = cal.history[cal.history["won"]]
-            Q, y = won["q"], won["utility"]
+            won = cal.history[cal.history["winner"] == j]
+            Q = request_features(won["owner_id"], won["num_samples"], pool_size)
+            # owners 1..ceil(pool_size / 2) are blurred
+            y = est.true_utility(won["num_samples"], won["owner_id"] <= math.ceil(pool_size / 2))
             grad_rel = np.linalg.norm(est.gradient(cal.theta, Q, y)) / np.linalg.norm(
                 est.gradient(np.zeros(3), Q, y)
             )
@@ -224,26 +228,22 @@ class TestFit:
 
 
 class TestTrueUtility:
-    def _owner(self, quality, n):
-        return DataOwner(1, n, quality, 0)
-
     def test_clean_1000(self):
-        assert est.true_utility(self._owner(Quality.CLEAN, 1000)) == pytest.approx(
-            math.log(2), abs=1e-4
+        assert est.true_utility(np.array([1000]), np.array([False])) == pytest.approx(
+            [math.log(2)], abs=1e-4
         )
 
     def test_blurred_1000(self):
-        assert est.true_utility(self._owner(Quality.BLURRED, 1000)) == pytest.approx(
-            0.4 * math.log(2), abs=1e-4
+        assert est.true_utility(np.array([1000]), np.array([True])) == pytest.approx(
+            [0.4 * math.log(2)], abs=1e-4
         )
 
     def test_monotone_in_samples(self):
-        for quality in Quality:
-            vals = [est.true_utility(self._owner(quality, n)) for n in range(1000, 10001, 500)]
-            assert all(b > a for a, b in zip(vals, vals[1:]))
+        n = np.arange(1000, 10001, 500)
+        for blurred in (False, True):
+            vals = est.true_utility(n, np.full(len(n), blurred))
+            assert np.all(np.diff(vals) > 0)
 
     def test_clean_beats_blurred(self):
-        for n in (1000, 3000, 10000):
-            assert est.true_utility(self._owner(Quality.CLEAN, n)) > est.true_utility(
-                self._owner(Quality.BLURRED, n)
-            )
+        n = np.array([1000, 3000, 10000])
+        assert np.all(est.true_utility(n, np.zeros(3, bool)) > est.true_utility(n, np.ones(3, bool)))

@@ -8,49 +8,44 @@ import pytest
 
 from flmarket import fltrain
 from flmarket.fltrain import LocalDataset
-from flmarket.market import ConfigurationError, DataOwner, Quality
+from flmarket.market import ConfigurationError
 
 from conftest import cross_entropy, cross_entropy_gradient
-
-
-def owner(quality=Quality.CLEAN, n=2000, oid=60, seed=5):
-    return DataOwner(oid, n, quality, seed)
 
 
 def blobs(rng, n=400, spread=4.0, num_classes=4, dim=3):
     centers = rng.normal(scale=spread, size=(num_classes, dim))
     y = rng.integers(0, num_classes, n)
     X = centers[y] + rng.standard_normal((n, dim))
-    return LocalDataset(X, y, 1), centers
+    return LocalDataset(X, y), centers
 
 
 class TestSynthDataset:
     def test_clean_no_label_noise(self):
         centers = fltrain.make_class_centers(np.random.default_rng(0))
-        a = fltrain.synth_dataset(owner(), centers, 0.4, np.random.default_rng(1))
-        b = fltrain.synth_dataset(owner(), centers, 0.0, np.random.default_rng(1))
+        a = fltrain.synth_dataset(2000, False, centers, 0.4, np.random.default_rng(1))
+        b = fltrain.synth_dataset(2000, False, centers, 0.0, np.random.default_rng(1))
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_blurred_noise_fraction(self):
         centers = fltrain.make_class_centers(np.random.default_rng(0))
-        blurred = owner(Quality.BLURRED, 10_000, oid=3)
-        noisy = fltrain.synth_dataset(blurred, centers, 0.4, np.random.default_rng(2))
-        clean = fltrain.synth_dataset(blurred, centers, 0.0, np.random.default_rng(2))
+        noisy = fltrain.synth_dataset(10_000, True, centers, 0.4, np.random.default_rng(2))
+        clean = fltrain.synth_dataset(10_000, True, centers, 0.0, np.random.default_rng(2))
         changed = np.mean(noisy.labels != clean.labels)
         # binomial(10000, 0.4 * 9/10) around 0.36
         assert 0.33 <= changed <= 0.39
 
     def test_deterministic(self):
         centers = fltrain.make_class_centers(np.random.default_rng(0))
-        a = fltrain.synth_dataset(owner(Quality.BLURRED, oid=2), centers, 0.4, np.random.default_rng(7))
-        b = fltrain.synth_dataset(owner(Quality.BLURRED, oid=2), centers, 0.4, np.random.default_rng(7))
+        a = fltrain.synth_dataset(2000, True, centers, 0.4, np.random.default_rng(7))
+        b = fltrain.synth_dataset(2000, True, centers, 0.4, np.random.default_rng(7))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_shard_restriction(self):
         centers = fltrain.make_class_centers(np.random.default_rng(0))
         data = fltrain.synth_dataset(
-            owner(n=5000), centers, 0.0, np.random.default_rng(3), classes=np.array([2, 7])
+            5000, False, centers, 0.0, np.random.default_rng(3), classes=np.array([2, 7])
         )
         assert set(np.unique(data.labels)) == {2, 7}
 
@@ -77,7 +72,7 @@ class TestPartitionMode:
 
     def test_iid_covers_all_classes(self):
         centers = fltrain.make_class_centers(np.random.default_rng(0))
-        data = fltrain.synth_dataset(owner(n=1000), centers, 0.0, np.random.default_rng(4))
+        data = fltrain.synth_dataset(1000, False, centers, 0.0, np.random.default_rng(4))
         assert len(np.unique(data.labels)) == fltrain.NUM_CLASSES
 
 
@@ -109,17 +104,17 @@ class TestLocalTrain:
         return w
 
     @pytest.mark.parametrize(
-        "K,d,n,classes,quality",
+        "K,d,n,classes,blurred",
         [
-            (10, 8, 500, None, Quality.CLEAN),
-            (4, 3, 300, None, Quality.CLEAN),
-            (10, 8, 1, None, Quality.CLEAN),
-            (10, 8, 200, [6], Quality.CLEAN),
-            (10, 8, 1500, [1, 8], Quality.BLURRED),
-            (8, 8, 700, None, Quality.CLEAN),
-            (9, 8, 700, None, Quality.BLURRED),
-            (17, 5, 700, None, Quality.BLURRED),
-            (10, 8, 10_000, None, Quality.BLURRED),
+            (10, 8, 500, None, False),
+            (4, 3, 300, None, False),
+            (10, 8, 1, None, False),
+            (10, 8, 200, [6], False),
+            (10, 8, 1500, [1, 8], True),
+            (8, 8, 700, None, False),
+            (9, 8, 700, None, True),
+            (17, 5, 700, None, True),
+            (10, 8, 10_000, None, True),
         ],
         ids=[
             "default",
@@ -133,10 +128,10 @@ class TestLocalTrain:
             "largest_owner",
         ],
     )
-    def test_bit_identical_to_gradient_loop(self, rng, K, d, n, classes, quality):
+    def test_bit_identical_to_gradient_loop(self, rng, K, d, n, classes, blurred):
         centers = fltrain.make_class_centers(rng, K, d)
         classes = None if classes is None else np.array(classes)
-        data = fltrain.synth_dataset(owner(quality, n), centers, 0.4, rng, classes=classes)
+        data = fltrain.synth_dataset(n, blurred, centers, 0.4, rng, classes=classes)
         w0 = fltrain.zero_model(K, d)
         np.testing.assert_array_equal(
             fltrain.local_train(w0, data, local_epochs=100, lr=0.05),
@@ -151,11 +146,10 @@ class TestLocalTrain:
         code = (
             "import numpy as np\n"
             "from flmarket import fltrain\n"
-            "from flmarket.market import DataOwner, Quality\n"
             "from test_fltrain import TestLocalTrain\n"
             "rng = np.random.default_rng(3)\n"
             "centers = fltrain.make_class_centers(rng)\n"
-            "data = fltrain.synth_dataset(DataOwner(1, 500, Quality.BLURRED, 2), centers, 0.4, rng)\n"
+            "data = fltrain.synth_dataset(500, True, centers, 0.4, rng)\n"
             "w0 = fltrain.zero_model()\n"
             "np.testing.assert_array_equal(fltrain.local_train(w0, data, 20, 0.05),\n"
             "                              TestLocalTrain.reference_train(w0, data, 20, 0.05))\n"
@@ -181,7 +175,7 @@ class TestLocalTrain:
 
     def test_inputs_unchanged(self, rng):
         data = fltrain.synth_dataset(
-            owner(Quality.BLURRED, 300), fltrain.make_class_centers(rng), 0.4, rng
+            300, True, fltrain.make_class_centers(rng), 0.4, rng
         )
         w0 = 0.1 * rng.standard_normal((fltrain.NUM_CLASSES, fltrain.FEATURE_DIM + 1))
         copies = w0.copy(), data.features.copy(), data.labels.copy()
@@ -264,14 +258,13 @@ def test_clean_cohort_beats_blurred_cohort(seed):
     test_X = centers[test_y] + rng.standard_normal((2000, centers.shape[1]))
     sizes = rng.integers(1000, 4000, 4)
 
-    def cohort_accuracy(quality, id_base):
+    def cohort_accuracy(blurred):
         updates = []
-        for i, n in enumerate(sizes):
-            o = DataOwner(id_base + i, int(n), quality, seed * 100 + i)
-            data = fltrain.synth_dataset(o, centers, 0.4, np.random.default_rng(o.local_seed))
+        for i, n in enumerate(sizes.tolist()):
+            data = fltrain.synth_dataset(n, blurred, centers, 0.4, np.random.default_rng(seed * 100 + i))
             w = fltrain.local_train(fltrain.zero_model(), data, 100, 0.05)
-            updates.append((w, o.num_samples))
+            updates.append((w, n))
         return fltrain.evaluate(fltrain.fedavg(updates), test_X, test_y)
 
-    assert cohort_accuracy(Quality.CLEAN, 60) >= cohort_accuracy(Quality.BLURRED, 1)
+    assert cohort_accuracy(False) >= cohort_accuracy(True)
 

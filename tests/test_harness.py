@@ -17,7 +17,7 @@ from flmarket.experiment import (
     run_experiment,
     summary_csv_header,
 )
-from flmarket.market import ConfigurationError, generate_do_pool
+from flmarket.market import ConfigurationError, generate_do_pool, request_features
 
 from conftest import assert_matches_row_predict
 
@@ -57,16 +57,22 @@ class TestBootstrap:
         cfg = small_config(out=str(tmp_path))
         pool = generate_do_pool(cfg.pool_size, cfg.sample_range, 1)
         cal = bootstrap_history(cfg, pool, np.random.default_rng(0))
-        histories = [cal[a.name].history for a in cfg.agents]
-        for h in histories:
-            assert len(h) == cfg.bootstrap_rounds * cfg.pool_size
-            assert np.all(h["bid"] > 0)
-            np.testing.assert_array_equal(np.isfinite(h["utility"]), h["won"])
-            np.testing.assert_array_equal(h["q"], histories[0]["q"])
+        history = cal[cfg.agents[0].name].history
+        # one table of the bootstrap markets' outcomes, shared by every agent
+        assert all(cal[a.name].history is history for a in cfg.agents)
+        assert len(history) == cfg.bootstrap_rounds * cfg.pool_size
+        assert history["bids"].shape == (len(history), len(cfg.agents))
+        # each round auctions every owner once
+        rounds = np.sort(history["owner_id"].reshape(cfg.bootstrap_rounds, cfg.pool_size), axis=1)
+        assert np.all(rounds == np.arange(1, cfg.pool_size + 1))
+        assert np.all(history["bids"] > 0)
         # every bootstrap bid is positive, so every auction has one winner
-        assert np.all(sum(h["won"].astype(int) for h in histories) == 1)
+        winners = history["winner"]
+        assert np.all((winners >= 0) & (winners < len(cfg.agents)))
+        assert np.all(history["bids"][np.arange(len(history)), winners] == history["price"])
+        Q = request_features(history["owner_id"], history["num_samples"], cfg.pool_size)
         for name in ("fbs", "fbc"):
-            theta, Q = cal[name].theta, cal[name].history["q"]
+            theta = cal[name].theta
             assert_matches_row_predict(theta, Q, estimator.predict(theta, Q))
 
     def test_reproducible(self, tmp_path):
@@ -205,6 +211,17 @@ class TestCli:
         rc = main(["run", str(path)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_uncalibratable_agent_is_reported(self, tmp_path, capsys):
+        # a lone agent wins every bootstrap auction, so its win curve is flat at 1
+        path = tmp_path / "solo.yaml"
+        path.write_text(yaml.safe_dump({
+            "master_seed": 1, "train_fl": False, "agents": [{"name": "fbs", "strategy": "fbs"}],
+        }))
+        rc = main(["--out", str(tmp_path / "out"), "run", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: agent fbs cannot calibrate its win model")
 
     def test_sweep(self, tmp_path):
         self._write_cfg(tmp_path)

@@ -12,7 +12,7 @@ from flmarket.market import (
     ConfigurationError,
     ConsumerAgent,
     MarketResult,
-    Quality,
+    POOL_DTYPE,
     compute_metrics,
     generate_do_pool,
     outcome_dtype,
@@ -68,8 +68,8 @@ def reference_market(agents, pool, rng):
     remaining = {a.name: a.budget for a in agents}
     out = np.zeros(len(pool), outcome_dtype(len(agents)))
     for i, k in enumerate(order_rng.permutation(len(pool))):
-        owner = pool[k]
-        q = np.array([1.0, owner.id / len(pool), owner.num_samples / 10000.0])
+        oid, num_samples, _, _ = pool[k].tolist()
+        q = np.array([1.0, oid / len(pool), num_samples / 10000.0])
         bids = {}
         for agent, arng in zip(agents, agent_rngs):
             raw = scalar_raw_bid(agent, q, arng)
@@ -83,7 +83,7 @@ def reference_market(agents, pool, rng):
             name = top[0] if len(top) == 1 else top[int(tie_rng.integers(len(top)))]
             remaining[name] -= price
             winner = names.index(name)
-        out[i] = (owner.id, owner.num_samples, [bids.get(n, math.nan) for n in names], winner, price)
+        out[i] = (oid, num_samples, [bids.get(n, math.nan) for n in names], winner, price)
     return out
 
 
@@ -173,40 +173,46 @@ class TestBidRequest:
 
     def test_feature_bounds(self):
         pool = generate_do_pool(40, (1000, 10000), 5)
-        Q = request_features([o.id for o in pool], [o.num_samples for o in pool], 40)
+        Q = request_features(pool["id"], pool["num_samples"], 40)
         assert np.all(Q[:, 0] == 1.0)
         assert np.all(Q[:, 1:] >= 0) and np.all(Q[:, 1:] <= 1)
 
     def test_market_rows_carry_owners(self):
         pool = generate_do_pool(30, (1000, 10000), 6)
         out = run_market([const_agent()], pool, np.random.default_rng(0)).outcomes
-        assert sorted(out["owner_id"]) == [o.id for o in pool]
-        sizes = {o.id: o.num_samples for o in pool}
+        assert sorted(out["owner_id"]) == pool["id"].tolist()
+        sizes = dict(zip(pool["id"].tolist(), pool["num_samples"].tolist()))
         assert out["num_samples"].tolist() == [sizes[i] for i in out["owner_id"].tolist()]
 
 
 class TestPool:
     def test_paper_scale_pool(self):
         pool = generate_do_pool(100, (1000, 10000), 7)
-        assert len(pool) == 100
-        assert [o.id for o in pool] == list(range(1, 101))
-        assert all(1000 <= o.num_samples <= 10000 for o in pool)
-        assert all(o.quality is Quality.BLURRED for o in pool[:50])
-        assert all(o.quality is Quality.CLEAN for o in pool[50:])
+        assert pool.dtype == POOL_DTYPE and len(pool) == 100
+        assert pool["id"].tolist() == list(range(1, 101))
+        assert np.all((pool["num_samples"] >= 1000) & (pool["num_samples"] <= 10000))
+        assert np.all(pool["blurred"][:50]) and not np.any(pool["blurred"][50:])
 
     def test_degenerate_range(self):
         pool = generate_do_pool(2, (5, 5), 99)
-        assert [o.num_samples for o in pool] == [5, 5]
-        assert pool[0].quality is Quality.BLURRED
-        assert pool[1].quality is Quality.CLEAN
+        assert pool["num_samples"].tolist() == [5, 5]
+        assert pool["blurred"].tolist() == [True, False]
 
     def test_deterministic(self):
-        assert generate_do_pool(30, (10, 20), 3) == generate_do_pool(30, (10, 20), 3)
+        assert generate_do_pool(30, (10, 20), 3).tobytes() == generate_do_pool(30, (10, 20), 3).tobytes()
 
     def test_odd_pool_blur_split(self):
         pool = generate_do_pool(5, (10, 10), 0)
-        tiers = [o.quality for o in pool]
-        assert tiers == [Quality.BLURRED] * 3 + [Quality.CLEAN] * 2
+        assert pool["blurred"].tolist() == [True] * 3 + [False] * 2
+
+    def test_draw_order_pinned(self):
+        # two scalar draws per owner, size then seed; drawing all sizes and then
+        # all seeds in one call each would change every later number
+        pool = generate_do_pool(6, (1000, 10000), 3)
+        assert pool["num_samples"].tolist() == [8304, 2615, 2632, 8823, 1354, 3990]
+        assert pool["local_seed"].tolist() == [
+            183930185, 508546690, 1720723810, 1250183451, 202139719, 930133021
+        ]
 
     def test_too_small_pool(self):
         with pytest.raises(ConfigurationError):
@@ -254,7 +260,7 @@ class TestMarket:
         out = result.outcomes
         assert out["price"][out["winner"] == 0].tolist() == [0.6, pytest.approx(0.4)]
         assert out["bids"][:2, 0].tolist() == [0.6, pytest.approx(0.4)]
-        assert compute_metrics(result).per_agent["a"].spend == pytest.approx(1.0)
+        assert compute_metrics(result)["a"].spend == pytest.approx(1.0)
         assert agent.budget == 1.0
 
     def test_termination_when_broke(self):
@@ -270,7 +276,7 @@ class TestMarket:
         with pytest.raises(ConfigurationError):
             run_market([], pool, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
-            run_market([const_agent()], [], np.random.default_rng(0))
+            run_market([const_agent()], pool[:0], np.random.default_rng(0))
         with pytest.raises(ConfigurationError, match="unique"):
             run_market([const_agent(), const_agent()], pool, np.random.default_rng(0))
 
@@ -298,10 +304,10 @@ class TestMarket:
         result = run_market(agents, pool, np.random.default_rng(1))
         out = result.outcomes
         assert len(out) == len(pool)
-        assert sorted(out["owner_id"]) == [o.id for o in pool]
-        metrics = compute_metrics(result).per_agent
+        assert sorted(out["owner_id"]) == pool["id"].tolist()
+        metrics = compute_metrics(result)
         assert sum(m.num_owners_won for m in metrics.values()) + np.sum(out["winner"] < 0) == len(pool)
-        sizes = {o.id: o.num_samples for o in pool}
+        sizes = dict(zip(pool["id"].tolist(), pool["num_samples"].tolist()))
         for j, name in enumerate(result.agent_names):
             won = out["owner_id"][out["winner"] == j].tolist()
             assert metrics[name].total_samples == sum(sizes[i] for i in won)
@@ -323,7 +329,7 @@ class TestMarket:
         def wins_at(budget):
             agents = [const_agent("c", budget, 0.5), rand_agent("r", 3.0)]
             r = run_market(agents, pool, np.random.default_rng(seed + 100))
-            return compute_metrics(r).per_agent["c"].num_owners_won
+            return compute_metrics(r)["c"].num_owners_won
 
         assert wins_at(2.0) >= wins_at(1.0)
 
@@ -453,12 +459,12 @@ class TestMetrics:
 
     def test_unit_price_arithmetic(self):
         result = self._result([(1, 14000, [50.0], 0, 50.0), (2, 3000, [0.0], -1, 0.0)])
-        m = compute_metrics(result).per_agent["a"]
+        m = compute_metrics(result)["a"]
         assert (m.num_owners_won, m.total_samples, m.spend) == (1, 14000, 50.0)
         assert m.unit_price_per_1000 == pytest.approx(50 / 14)
 
     def test_no_wins(self):
-        m = compute_metrics(self._result([(1, 5, [0.0], -1, 0.0)])).per_agent["a"]
+        m = compute_metrics(self._result([(1, 5, [0.0], -1, 0.0)]))["a"]
         assert m.num_owners_won == 0
         assert m.total_samples == 0
         assert m.spend == 0.0
@@ -471,13 +477,13 @@ class TestMetrics:
         for row in rows:
             if row[3] == 0:
                 running += row[4]
-        m = compute_metrics(self._result(rows)).per_agent["a"]
+        m = compute_metrics(self._result(rows))["a"]
         assert m.spend == running
         assert type(m.spend) is float and type(m.total_samples) is int
 
     def test_single_win(self):
         pool = generate_do_pool(2, (1000, 1000), 0)
         result = run_market([const_agent(budget=2.79, bid=2.79)], pool[:1], np.random.default_rng(0))
-        m = compute_metrics(result).per_agent["a"]
+        m = compute_metrics(result)["a"]
         assert m.num_owners_won == 1
         assert m.unit_price_per_1000 == pytest.approx(2.79)
