@@ -13,16 +13,8 @@ from .errors import ConfigurationError
 from .experiment import emit_plots, run_experiment
 
 
-def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    return cfg
-
-
 def cmd_run(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+    cfg = parse_config(args.config, args.seed, args.out)
     artifacts = run_experiment(cfg)
     print(f"wrote {artifacts.market_csv}")
     print(f"wrote {artifacts.summary_csv}")
@@ -39,7 +31,7 @@ def cmd_sweep(args) -> int:
         print(f"no config files found in {config_dir}", file=sys.stderr)
         return 1
     for path in paths:
-        cfg = _apply_overrides(parse_config(path), args)
+        cfg = parse_config(path, args.seed, args.out)
         out = Path(cfg.output_dir) / path.stem
         cfg = replace(cfg, output_dir=str(out))
         artifacts = run_experiment(cfg)
@@ -79,7 +71,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,8 +20,10 @@ Schema (all keys optional except master_seed):
     lin_coef: 0.5
     output_dir: out
     agents:                     # optional; defaults to the six-agent lineup
-      - {name: fbs, strategy: fbs, form: simple}
+      - {name: fbs, strategy: fbs, budget: 80}
 
+An agent's strategy fixes its win model: fbs bids for W(b) = b/(c+b)
+and fbc for W(b) = b^2/(c^2+b^2), so an agent takes no 'form' key.
 Unknown keys, and values of the wrong type (a bool is not a number), are
 rejected (with a closest-match suggestion for a key).  The estimator
 fit takes no keys: it runs to the least-squares theta, and its clamp
@@ -33,7 +35,7 @@ markets' outcome rows, bootstrap_rounds * pool_size of them.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import yaml
@@ -41,15 +43,18 @@ import yaml
 from . import fltrain
 from .errors import ConfigurationError
 from .strategies import NEEDS_THETA, Strategy, StrategyParams
-from .winmodel import WinForm
 
 
 @dataclass
 class AgentSpec:
     name: str
     strategy: Strategy
-    form: Optional[WinForm] = None
     budget: Optional[float] = None  # nominal; falls back to the run budget
+
+
+def default_agent_lineup() -> list:
+    """One agent per strategy, named after it."""
+    return [AgentSpec(s.value, s) for s in Strategy]
 
 
 @dataclass
@@ -71,11 +76,7 @@ class RunConfig:
     rand_max: float = 1.0
     lin_coef: float = 0.5
     output_dir: str = "out"
-    agents: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.agents:
-            self.agents = default_agent_lineup()
+    agents: list = field(default_factory=default_agent_lineup)
 
     def scaled_budget(self, spec: AgentSpec) -> float:
         nominal = spec.budget if spec.budget is not None else self.budget
@@ -85,19 +86,7 @@ class RunConfig:
         return StrategyParams(self.const_bid, self.rand_max, self.lin_coef)
 
 
-def default_agent_lineup() -> list:
-    """One agent per strategy; the closed-form pair uses its matching model."""
-    return [
-        AgentSpec("const", Strategy.CONST),
-        AgentSpec("rand", Strategy.RAND),
-        AgentSpec("bmub", Strategy.BMUB),
-        AgentSpec("lin", Strategy.LIN),
-        AgentSpec("fbs", Strategy.FBS, form=WinForm.SIMPLE),
-        AgentSpec("fbc", Strategy.FBC, form=WinForm.COMPLEX),
-    ]
-
-
-_AGENT_KEYS = {"name", "strategy", "form", "budget"}
+_AGENT_KEYS = {"name", "strategy", "budget"}
 
 
 def _parse_agent(raw, index: int) -> AgentSpec:
@@ -115,21 +104,16 @@ def _parse_agent(raw, index: int) -> AgentSpec:
             f"agents[{index}]: 'strategy' must be one of "
             f"{[s.value for s in Strategy]}"
         )
-    form = raw.get("form")
-    if form is not None:
-        form = WinForm(str(form).lower())
-    elif strategy is Strategy.FBS:
-        form = WinForm.SIMPLE
-    elif strategy is Strategy.FBC:
-        form = WinForm.COMPLEX
     budget = raw.get("budget")
     if budget is not None and not (_has_type(budget, "float") and budget > 0):
         raise ConfigurationError(f"agents[{index}]: budget must be a positive number")
     name = str(raw.get("name", strategy.value))
-    return AgentSpec(name, strategy, form, None if budget is None else float(budget))
+    return AgentSpec(name, strategy, None if budget is None else float(budget))
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    if cfg.master_seed < 0:
+        raise ConfigurationError("master_seed must be non-negative")
     if cfg.pool_size < 2:
         raise ConfigurationError("pool_size must be >= 2")
     lo, hi = cfg.sample_range
@@ -158,9 +142,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
     names = [a.name for a in cfg.agents]
     if len(set(names)) != len(names):
         raise ConfigurationError("agent names must be unique")
-    for spec in cfg.agents:
-        if spec.strategy in (Strategy.FBS, Strategy.FBC) and spec.form is None:
-            raise ConfigurationError(f"agent {spec.name}: closed-form agents need a 'form'")
     needy = [a.name for a in cfg.agents if a.strategy in NEEDS_THETA]
     if cfg.bootstrap_rounds == 0 and needy:
         raise ConfigurationError(f"bootstrap_rounds is 0 but {', '.join(needy)} need history")
@@ -209,14 +190,23 @@ def config_from_mapping(raw: dict) -> RunConfig:
     return _validate(cfg)
 
 
-def parse_config(path) -> RunConfig:
-    """Load and validate a YAML run configuration."""
+def parse_config(path, master_seed=None, output_dir=None) -> RunConfig:
+    """Load and validate a YAML run configuration.
+
+    A ``master_seed`` or ``output_dir`` that is not None replaces the
+    file's value before validation, so it is checked like one.
+    """
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top level must be a mapping")
+    overrides = {"master_seed": master_seed, "output_dir": output_dir}
+    raw.update((k, v) for k, v in overrides.items() if v is not None)
     return config_from_mapping(raw)
 
 
@@ -230,7 +220,6 @@ def echo_config(cfg: RunConfig) -> dict:
                 {
                     "name": a.name,
                     "strategy": a.strategy.value,
-                    "form": a.form.value if a.form else None,
                     "budget": a.budget,
                 }
                 for a in v

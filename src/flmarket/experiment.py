@@ -37,7 +37,7 @@ from .market import (
     request_features,
     run_market,
 )
-from .strategies import NEEDS_THETA, LambdaSolution, Strategy, solve_lambda
+from .strategies import NEEDS_THETA, WIN_FORM, LambdaSolution, Strategy, solve_lambda
 from .winmodel import (
     InsufficientDataError,
     WinningFunctionModel,
@@ -45,8 +45,6 @@ from .winmodel import (
     calibrate_c,
     empirical_win_curve,
 )
-
-_CLOSED_FORM = (Strategy.FBS, Strategy.FBC)
 
 
 @dataclass
@@ -106,15 +104,16 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
                     "increase bootstrap_rounds or rand_max"
                 )
             cal.fit = estimator.fit_with_backoff(Q[won], utility[won])
-        if spec.strategy in _CLOSED_FORM:
+        form = WIN_FORM.get(spec.strategy)
+        if form is not None:
             try:
                 curve = empirical_win_curve(history["bids"][:, j], won, cfg.num_buckets)
-                c = calibrate_c(curve, spec.form)
+                c = calibrate_c(curve, form)
             except InsufficientDataError as exc:
                 raise ConfigurationError(
                     f"agent {spec.name} cannot calibrate its win model: {exc}"
                 ) from None
-            cal.win_model = WinningFunctionModel(spec.form, c)
+            cal.win_model = WinningFunctionModel(form, c)
             cal.c_at_bracket_edge = at_bracket_edge(curve, c)
             samples = estimator.predict(cal.theta, Q)
             cal.lambda_solution = solve_lambda(
@@ -276,7 +275,7 @@ def write_calibration_report(path, cfg: RunConfig, calibration: dict):
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifacts:
+def run_experiment(cfg: RunConfig) -> RunArtifacts:
     """Bootstrap, competitive market, FedAvg evaluation, artifact emission."""
     root = np.random.SeedSequence(cfg.master_seed)
     pool_rng, boot_rng, market_rng, fl_rng = [
@@ -287,7 +286,7 @@ def run_experiment(cfg: RunConfig, train_fl: Optional[bool] = None) -> RunArtifa
     agents = build_market_agents(cfg, calibration)
     result = run_market(agents, pool, market_rng)
     metrics = compute_metrics(result)
-    if cfg.train_fl if train_fl is None else train_fl:
+    if cfg.train_fl:
         for name, accuracy in train_federated(cfg, pool, result, fl_rng).items():
             metrics[name].fl_accuracy = accuracy
 
@@ -371,28 +370,21 @@ def emit_plots(artifacts_dir, out_dir=None) -> list:
     """
     artifacts_dir = Path(artifacts_dir)
     out_dir = Path(out_dir) if out_dir else artifacts_dir
-    rows = []
+    written = []
     for path in sorted(artifacts_dir.glob("summary_seed*.csv")):
         seed = path.stem.replace("summary_", "")
         with open(path) as fh:
-            for rec in csv.DictReader(fh):
-                rec["_seed"] = seed
-                rows.append(rec)
-    if not rows:
+            rows = list(csv.DictReader(fh))
+        if not rows:
+            continue
+        out_dir.mkdir(parents=True, exist_ok=True)
+        budget = "-".join(sorted({r["budget"] for r in rows}, key=float))
+        agents = [r["agent"] for r in rows]
+        for metric in ("total_samples", "unit_price"):
+            values = [float(r[metric]) if r[metric] else 0.0 for r in rows]
+            chart = out_dir / f"{metric}_budget{budget}_{seed}.svg"
+            _write_bar_svg(chart, f"{metric} at budget {budget} ({seed})", metric, agents, values)
+            written.append(chart)
+    if not written:
         print("no summary rows found; no charts emitted")
-        return []
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    written = []
-    by_seed = {}
-    for rec in rows:
-        by_seed.setdefault(rec["_seed"], []).append(rec)
-    for seed, group in sorted(by_seed.items()):
-        budget = "-".join(sorted({r["budget"] for r in group}, key=float))
-        agents = [r["agent"] for r in group]
-        for metric, column in (("total_samples", "total_samples"), ("unit_price", "unit_price")):
-            values = [float(r[column]) if r[column] else 0.0 for r in group]
-            path = out_dir / f"{metric}_budget{budget}_{seed}.svg"
-            _write_bar_svg(path, f"{metric} at budget {budget} ({seed})", metric, agents, values)
-            written.append(path)
     return written

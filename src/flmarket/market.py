@@ -85,13 +85,10 @@ class AgentMetrics:
 def generate_do_pool(pool_size: int, sample_range: tuple, master_seed) -> np.ndarray:
     """The owner pool as ``POOL_DTYPE`` rows with ids 1..pool_size in row order.
 
-    Sizes are uniform in sample_range and the first half is blurred.
+    Sizes are uniform in sample_range and the first half is blurred.  The
+    config checks pool_size >= 2 and 1 <= min <= max.
     """
     lo, hi = sample_range
-    if pool_size < 2:
-        raise ConfigurationError(f"pool_size must be >= 2, got {pool_size}")
-    if lo < 1 or hi < lo:
-        raise ConfigurationError(f"invalid sample_range {sample_range}")
     rng = (
         master_seed
         if isinstance(master_seed, np.random.Generator)
@@ -198,12 +195,11 @@ def run_market(
     runs that differ only in one agent's budget.  The rows are cleared in
     segments by ``_clear``, with the bits of a row-by-row clearing.  The
     agents are not modified: the remaining budgets live in ``_clear``.
+    Agent names should be unique, as the config checks; the result is keyed by them.
     """
     if len(agents) == 0 or len(pool) == 0:
         raise ConfigurationError("need at least one agent and one owner")
     names = [a.name for a in agents]
-    if len(set(names)) != len(names):
-        raise ConfigurationError("agent names must be unique")
     order_rng, tie_rng, *agent_rngs = rng.spawn(2 + len(agents))
     order = order_rng.permutation(len(pool))
 

@@ -33,6 +33,7 @@ class Strategy(str, Enum):
 
 
 NEEDS_THETA = (Strategy.BMUB, Strategy.LIN, Strategy.FBS, Strategy.FBC)  # bid from s(q)
+WIN_FORM = {Strategy.FBS: WinForm.SIMPLE, Strategy.FBC: WinForm.COMPLEX}  # the closed forms' models
 
 
 @dataclass

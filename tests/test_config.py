@@ -1,17 +1,21 @@
+import json
+import textwrap
+from dataclasses import fields
+
 import pytest
 import yaml
 
+from flmarket import config
 from flmarket.cli import main
 from flmarket.config import (
-    AgentSpec,
     RunConfig,
     config_from_mapping,
-    default_agent_lineup,
     echo_config,
     parse_config,
 )
+from flmarket.experiment import run_experiment
 from flmarket.market import ConfigurationError
-from flmarket.strategies import Strategy
+from flmarket.strategies import WIN_FORM, Strategy
 from flmarket.winmodel import WinForm
 
 
@@ -75,20 +79,20 @@ def test_agent_parsing():
             "agents": [
                 {"name": "x", "strategy": "const"},
                 {"name": "y", "strategy": "fbs"},
-                {"name": "z", "strategy": "fbc", "form": "simple", "budget": 80},
+                {"name": "z", "strategy": "fbc", "budget": 80},
             ],
         }
     )
-    assert cfg.agents[1].form is WinForm.SIMPLE
-    assert cfg.agents[2].form is WinForm.SIMPLE
     assert cfg.scaled_budget(cfg.agents[2]) == pytest.approx(0.8)
     assert cfg.scaled_budget(cfg.agents[0]) == pytest.approx(0.5)
 
 
-def test_agent_unknown_key():
-    with pytest.raises(ConfigurationError, match="agents\\[0\\]"):
+@pytest.mark.parametrize("key,value", [("budgt", 2), ("form", "simple")])
+def test_agent_unknown_key(key, value):
+    # fbs and fbc fix their own win model, so an agent takes no 'form'
+    with pytest.raises(ConfigurationError, match=f"agents\\[0\\]: unknown key\\(s\\) \\['{key}'\\]"):
         config_from_mapping(
-            {"master_seed": 1, "agents": [{"name": "x", "strategy": "const", "budgt": 2}]}
+            {"master_seed": 1, "agents": [{"name": "x", "strategy": "fbs", key: value}]}
         )
 
 
@@ -117,14 +121,17 @@ def test_echo_roundtrips_defaults():
     assert echoed["sample_range"] == [1000, 10000]
     assert len(echoed["agents"]) == 6
     assert echoed["agents"][4] == {
-        "name": "fbs", "strategy": "fbs", "form": "simple", "budget": None,
+        "name": "fbs", "strategy": "fbs", "budget": None,
     }
 
 
-def test_default_lineup_forms():
-    lineup = default_agent_lineup()
-    assert lineup[4].form is WinForm.SIMPLE
-    assert lineup[5].form is WinForm.COMPLEX
+def test_default_lineup_forms(tmp_path):
+    assert WIN_FORM == {Strategy.FBS: WinForm.SIMPLE, Strategy.FBC: WinForm.COMPLEX}
+    cfg = RunConfig(master_seed=7, pool_size=20, bootstrap_rounds=8, train_fl=False,
+                    output_dir=str(tmp_path))
+    report = json.loads(run_experiment(cfg).calibration_report.read_text())["agents"]
+    assert report["fbs"]["win_form"] == "simple"
+    assert report["fbc"]["win_form"] == "complex"
 
 
 @pytest.mark.parametrize(
@@ -141,6 +148,7 @@ def test_default_lineup_forms():
         ("budget", float("nan")),
         ("budget_scale", float("nan")),
         ("budget", 1.0e-320),  # positive, but 0 once scaled and split over the pool
+        ("pool_size", 1),
     ],
 )
 def test_bad_bidding_values_rejected(key, value):
@@ -188,7 +196,7 @@ def test_agent_budget_must_be_a_number():
 @pytest.mark.parametrize(
     "key,value",
     [("num_buckets", 1), ("const_bid", -1), ("budget", "fifty"), ("budget", float("nan")),
-     ("rand_max", float("nan"))],
+     ("rand_max", float("nan")), ("master_seed", -1)],
 )
 def test_cli_rejects_bad_value_before_running(tmp_path, capsys, key, value):
     out = tmp_path / "out"
@@ -235,3 +243,46 @@ def test_cli_rejects_zero_bootstrap_rounds_before_creating_output(tmp_path, caps
     assert main(["--out", str(out), "run", str(path)]) == 2
     assert "bootstrap_rounds" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _yaml_syntax_error(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("master_seed: 1\nagents: [\n")
+    return ["run", str(path)]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (_yaml_syntax_error, "invalid YAML"),
+        (lambda tmp_path: ["run", str(tmp_path)], "Is a directory"),
+        (lambda tmp_path: ["sweep", str(write_config(tmp_path, {"master_seed": 1}))],
+         "Not a directory"),
+        (lambda tmp_path: ["--seed", "-3", "run", str(write_config(tmp_path, {"master_seed": 1}))],
+         "master_seed must be non-negative"),
+        (lambda tmp_path: ["run", str(write_config(tmp_path, {
+            "master_seed": 1, "agents": [{"name": "fbs", "strategy": "fbs", "form": "simple"}]}))],
+         "unknown key(s) ['form']"),
+        (lambda tmp_path: ["run", str(write_config(tmp_path, {"master_seed": 1, "agents": []}))],
+         "need at least one agent"),
+    ],
+    ids=["yaml_syntax", "config_is_dir", "sweep_on_file", "seed_flag",
+         "agent_form", "no_agents"],
+)
+def test_cli_bad_input_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *argv(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_schema_docstring_names_every_key():
+    # the module docstring's indented schema block is itself a valid YAML config
+    schema = config.__doc__.split("\n\n")[2]
+    example = yaml.safe_load(textwrap.dedent(schema))
+    assert set(example) == {f.name for f in fields(RunConfig)}
+    assert set(example["agents"][0]) == config._AGENT_KEYS
+    config_from_mapping(example)
