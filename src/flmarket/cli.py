@@ -24,16 +24,18 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config_dir = Path(args.config_dir)
-    paths = sorted(
-        p for p in config_dir.iterdir() if p.suffix in (".yaml", ".yml")
-    )
+    paths = sorted(p for p in config_dir.iterdir() if p.suffix in (".yaml", ".yml"))
     if not paths:
         print(f"no config files found in {config_dir}", file=sys.stderr)
         return 1
-    for path in paths:
-        cfg = parse_config(path, args.seed, args.out)
-        out = Path(cfg.output_dir) / path.stem
-        cfg = replace(cfg, output_dir=str(out))
+    configs = []
+    for path in paths:  # check every file before running any
+        try:
+            cfg = parse_config(path, args.seed, args.out)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path.name}: {exc}") from None
+        configs.append(replace(cfg, output_dir=str(Path(cfg.output_dir) / path.stem)))
+    for path, cfg in zip(paths, configs):
         artifacts = run_experiment(cfg)
         print(f"{path.name}: wrote {artifacts.summary_csv}")
     return 0

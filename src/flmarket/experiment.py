@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import estimator, fltrain, winmodel
+from . import estimator, fltrain
 from .config import RunConfig, echo_config
 from .errors import ConfigurationError
 from .market import (
@@ -149,10 +149,10 @@ def train_federated(
     centers_rng, shard_rng, test_rng = rng.spawn(3)
     centers = fltrain.make_class_centers(centers_rng)
     K = centers.shape[0]
-    mode, shards = fltrain.partition_mode(cfg.partition, cfg.shards_per_owner, K)
+    niid = cfg.partition == "niid"
     # one draw per pool row, in pool order, whether or not the owner is won
     class_support = [
-        np.sort(shard_rng.choice(K, shards, replace=False)) if mode == "niid" else None
+        np.sort(shard_rng.choice(K, cfg.shards_per_owner, replace=False)) if niid else None
         for _ in range(len(pool))
     ]
     test_labels = test_rng.integers(0, K, 2000)

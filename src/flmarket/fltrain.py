@@ -13,8 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 NUM_CLASSES = 10
 FEATURE_DIM = 8
 # moderate class overlap: accuracy sits below ceiling so data quality
@@ -32,19 +30,6 @@ def make_class_centers(
     rng: np.random.Generator, num_classes: int = NUM_CLASSES, dim: int = FEATURE_DIM
 ) -> np.ndarray:
     return rng.normal(scale=CENTER_SPREAD, size=(num_classes, dim))
-
-
-def partition_mode(partition: str, shards_per_owner: int, num_classes: int = NUM_CLASSES):
-    """Validate the partition setting; returns ('iid', None) or ('niid', shards)."""
-    if partition == "iid":
-        return ("iid", None)
-    if partition == "niid":
-        if not 1 <= shards_per_owner <= num_classes:
-            raise ConfigurationError(
-                f"shards_per_owner must be in [1, {num_classes}], got {shards_per_owner}"
-            )
-        return ("niid", shards_per_owner)
-    raise ConfigurationError(f"unknown partition mode {partition!r}")
 
 
 def synth_dataset(

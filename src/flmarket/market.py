@@ -43,7 +43,7 @@ POOL_DTYPE = np.dtype([("id", np.int64), ("num_samples", np.int64),
 
 @dataclass
 class ConsumerAgent:
-    """One data consumer: identity, budget and decision parameters."""
+    """One data consumer; a plain record of values the config checks and solve_lambda returns."""
 
     name: str
     strategy: Strategy
@@ -52,12 +52,6 @@ class ConsumerAgent:
     theta: Optional[np.ndarray] = None
     win_model: Optional[WinningFunctionModel] = None
     lam: float = 0.0
-
-    def __post_init__(self):
-        if not self.budget > 0:  # written so that NaN fails too
-            raise ConfigurationError(f"budget must be positive for agent {self.name}")
-        if not self.lam >= 0:
-            raise ConfigurationError("lambda must be non-negative")
 
 
 def outcome_dtype(num_agents: int) -> np.dtype:

@@ -70,14 +70,12 @@ def empirical_win_curve(bids, won, num_buckets: int = 20) -> tuple:
     """Bucket past bids and their outcomes into an empirical win-rate curve.
 
     ``bids`` and ``won`` are equal-length arrays, one entry per auction.
-    Equal-width bid buckets over [0, max bid]; empty buckets are omitted.
+    ``num_buckets`` >= 2 equal-width bid buckets over [0, max bid]; empty ones omitted.
     Returns the ``(mid_bid, win_rate, count)`` arrays of the other buckets.
     """
     bids = np.asarray(bids, dtype=float)
     if len(bids) == 0:
         raise InsufficientDataError("no records to build a win curve from")
-    if num_buckets < 2:
-        raise ValueError("num_buckets must be >= 2")
     hi = bids.max()
     if hi <= 0:
         raise InsufficientDataError("all historical bids are zero")

@@ -146,6 +146,7 @@ def test_default_lineup_forms(tmp_path):
         ("rand_max", float("nan")),
         ("lin_coef", float("nan")),
         ("budget", float("nan")),
+        ("budget", 0),
         ("budget_scale", float("nan")),
         ("budget", 1.0e-320),  # positive, but 0 once scaled and split over the pool
         ("pool_size", 1),
@@ -160,6 +161,12 @@ def test_bad_bidding_values_rejected(key, value):
 def test_niid_shards_out_of_range(shards):
     with pytest.raises(ConfigurationError, match="shards_per_owner"):
         config_from_mapping({"master_seed": 1, "partition": "niid", "shards_per_owner": shards})
+
+
+@pytest.mark.parametrize("shards", [1, 10])
+def test_niid_shards_in_range_accepted(shards):
+    cfg = config_from_mapping({"master_seed": 1, "partition": "niid", "shards_per_owner": shards})
+    assert (cfg.partition, cfg.shards_per_owner) == ("niid", shards)
 
 
 def test_iid_ignores_shards_per_owner():
@@ -251,6 +258,15 @@ def _yaml_syntax_error(tmp_path):
     return ["run", str(path)]
 
 
+def _sweep_with_bad_second_file(tmp_path):
+    # a.yaml is valid; the sweep must check b.yaml before it runs a.yaml
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    (config_dir / "a.yaml").write_text(yaml.safe_dump({"master_seed": 1, "train_fl": False}))
+    (config_dir / "b.yaml").write_text(yaml.safe_dump({"master_seed": 1, "budgt": 3}))
+    return ["sweep", str(config_dir)]
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -265,9 +281,10 @@ def _yaml_syntax_error(tmp_path):
          "unknown key(s) ['form']"),
         (lambda tmp_path: ["run", str(write_config(tmp_path, {"master_seed": 1, "agents": []}))],
          "need at least one agent"),
+        (_sweep_with_bad_second_file, "error: b.yaml: unknown config key 'budgt'"),
     ],
     ids=["yaml_syntax", "config_is_dir", "sweep_on_file", "seed_flag",
-         "agent_form", "no_agents"],
+         "agent_form", "no_agents", "sweep_bad_second_file"],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from flmarket import fltrain
+from flmarket.config import config_from_mapping
+from flmarket.experiment import train_federated
 from flmarket.fltrain import LocalDataset
-from flmarket.market import ConfigurationError
+from flmarket.market import MarketResult, generate_do_pool, outcome_dtype
 
 from conftest import cross_entropy, cross_entropy_gradient
+
+SYNTH_DATASET = fltrain.synth_dataset  # the unpatched one, while a test spies on it
 
 
 def blobs(rng, n=400, spread=4.0, num_classes=4, dim=3):
@@ -51,24 +55,43 @@ class TestSynthDataset:
 
 
 class TestPartitionMode:
-    def test_iid(self):
-        assert fltrain.partition_mode("iid", 2) == ("iid", None)
+    """The class support train_federated gives each owner under the partition setting."""
 
-    def test_niid(self):
-        assert fltrain.partition_mode("niid", 2) == ("niid", 2)
+    @staticmethod
+    def owner_classes(monkeypatch, **settings):
+        """Each of 12 won owners' classes, in pool order, and the consumer's accuracy."""
+        cfg = config_from_mapping({"master_seed": 1, "pool_size": 12, "sample_range": [100, 200],
+                                   "local_epochs": 3, **settings})
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, 5)
+        outcomes = np.zeros(len(pool), outcome_dtype(1))
+        outcomes["owner_id"] = pool["id"]  # agent 0 wins every owner
+        seen = []
 
-    def test_niid_full_support_is_iid_like(self):
-        mode, shards = fltrain.partition_mode("niid", fltrain.NUM_CLASSES)
-        assert shards == fltrain.NUM_CLASSES
+        def spy(*args, classes=None):
+            seen.append(classes)
+            return SYNTH_DATASET(*args, classes=classes)
 
-    @pytest.mark.parametrize("shards", [0, 11])
-    def test_invalid_shards(self, shards):
-        with pytest.raises(ConfigurationError):
-            fltrain.partition_mode("niid", shards)
+        monkeypatch.setattr(fltrain, "synth_dataset", spy)
+        result = MarketResult(["a"], outcomes)
+        return seen, train_federated(cfg, pool, result, np.random.default_rng(2))["a"]
 
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            fltrain.partition_mode("dirichlet", 2)
+    def test_iid(self, monkeypatch):
+        seen, _ = self.owner_classes(monkeypatch, partition="iid")
+        assert len(seen) == 12 and all(c is None for c in seen)
+
+    def test_niid(self, monkeypatch):
+        seen, _ = self.owner_classes(monkeypatch, partition="niid", shards_per_owner=2)
+        assert len(seen) == 12
+        for c in seen:
+            assert len(c) == 2 and 0 <= c[0] < c[1] < fltrain.NUM_CLASSES
+        assert len({tuple(c) for c in seen}) > 1
+
+    def test_niid_full_support_is_iid_like(self, monkeypatch):
+        # every class as one owner's shards is a valid config, and it trains on the iid data
+        K = fltrain.NUM_CLASSES
+        seen, niid = self.owner_classes(monkeypatch, partition="niid", shards_per_owner=K)
+        assert all(c.tolist() == list(range(K)) for c in seen)
+        assert niid == self.owner_classes(monkeypatch, partition="iid")[1]
 
     def test_iid_covers_all_classes(self):
         centers = fltrain.make_class_centers(np.random.default_rng(0))

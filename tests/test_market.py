@@ -139,20 +139,30 @@ def random_agents(seed, strategies):
 
 
 class TestConsumerAgent:
-    @pytest.mark.parametrize("key", ["budget", "lam"])
-    def test_nan_rejected(self, key):
-        values = {"budget": 1.0, "lam": 0.0, key: math.nan}
-        with pytest.raises(ConfigurationError):
-            ConsumerAgent("a", Strategy.CONST, **values)
-
-    @pytest.mark.parametrize("budget", [0.0, -1.0])
-    def test_non_positive_budget_rejected(self, budget):
-        with pytest.raises(ConfigurationError, match="budget must be positive"):
-            ConsumerAgent("a", Strategy.CONST, budget)
-
     def test_infinite_budget_accepted(self):
         # the bootstrap markets run with unlimited budgets
         assert ConsumerAgent("a", Strategy.RAND, math.inf).budget == math.inf
+
+    def test_values_the_config_rejects_win_nothing(self):
+        # ConsumerAgent is a plain record; the market still keeps such agents out
+        pool = generate_do_pool(40, (1000, 10000), 3)
+        theta, fbs = np.array([0.5, 0.2, 0.3]), WinningFunctionModel(WinForm.SIMPLE, 0.5)
+        out = [
+            const_agent("zero", 0.0),
+            const_agent("negative", -1.0),
+            const_agent("nan", math.nan),
+            const_agent("free", 5.0, bid=0.0),
+            ConsumerAgent("neg_lin", Strategy.LIN, 5.0, StrategyParams(lin_coef=-1.0), theta),
+            ConsumerAgent("nan_lam", Strategy.FBS, 5.0, theta=theta, win_model=fbs, lam=math.nan),
+        ]
+        metrics = compute_metrics(run_market([rand_agent("valid", 3.0), *out], pool,
+                                             np.random.default_rng(0)))
+        assert metrics["valid"].num_owners_won > 0
+        assert all(metrics[a.name].num_owners_won == 0 == metrics[a.name].spend for a in out)
+        # a negative lambda is still refused where the closed forms are evaluated
+        negative = ConsumerAgent("neg_lam", Strategy.FBS, 5.0, theta=theta, win_model=fbs, lam=-1.0)
+        with pytest.raises(ValueError, match="lambda=-1.0"):
+            run_market([rand_agent("valid", 3.0), negative], pool, np.random.default_rng(0))
 
 
 class TestBidRequest:

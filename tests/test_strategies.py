@@ -58,10 +58,6 @@ class TestBaselines:
         assert bids[0] == pytest.approx(1.4)
         assert bids[1:].tolist() == [0.0, 0.0]
 
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            StrategyParams(const_bid=-1.0)
-
 
 class TestClosedForms:
     def test_fbs_zero_utility(self):
@@ -96,6 +92,10 @@ class TestClosedForms:
                 fn(1.0, 0.0, 0.0)
             with pytest.raises(ValueError):
                 fn(1.0, 1.0, -0.5)
+            # one short line for a large pool: min(s), not every utility
+            with pytest.raises(ValueError, match="lambda=-1.0") as err:
+                fn(np.linspace(0.0, 1.0, 1000), 0.5, -1.0)
+            assert "\n" not in str(err.value) and len(str(err.value)) < 100
 
     @given(s=hs.floats(1e-3, 10), c=hs.floats(1e-3, 5), lam=hs.floats(0, 5))
     @settings(max_examples=300, deadline=None)
