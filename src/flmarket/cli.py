@@ -8,8 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import parse_config
-from .errors import ConfigurationError
+from .config import ConfigurationError, parse_config
 from .experiment import emit_plots, run_experiment
 
 
@@ -28,14 +27,17 @@ def cmd_sweep(args) -> int:
     if not paths:
         print(f"no config files found in {config_dir}", file=sys.stderr)
         return 1
-    configs = []
+    configs = {}  # stem -> (path, config): each stem is one output directory
     for path in paths:  # check every file before running any
+        if path.stem in configs:
+            first = configs[path.stem][0].name
+            raise ConfigurationError(f"{first} and {path.name} would both write to {path.stem}/")
         try:
             cfg = parse_config(path, args.seed, args.out)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path.name}: {exc}") from None
-        configs.append(replace(cfg, output_dir=str(Path(cfg.output_dir) / path.stem)))
-    for path, cfg in zip(paths, configs):
+        configs[path.stem] = path, replace(cfg, output_dir=str(Path(cfg.output_dir) / path.stem))
+    for path, cfg in configs.values():
         artifacts = run_experiment(cfg)
         print(f"{path.name}: wrote {artifacts.summary_csv}")
     return 0

@@ -13,11 +13,6 @@ Schema (all keys optional except master_seed):
     noise_rate_blurred: 0.4
     train_fl: true
     local_epochs: 100
-    fl_lr: 0.05
-    num_buckets: 20
-    const_bid: 0.5
-    rand_max: 1.0
-    lin_coef: 0.5
     output_dir: out
     agents:                     # optional; defaults to the six-agent lineup
       - {name: fbs, strategy: fbs, budget: 80}
@@ -32,6 +27,12 @@ history is one structured array that all agents share: the bootstrap
 markets' outcome rows, bootstrap_rounds * pool_size of them.
 ``_validate`` is the one gate: the library takes the values it passed
 as given and does not check them again.
+
+The config describes the experiment; the model's constants take no key
+and live as the library's defaults: the baselines' const_bid, rand_max
+and lin_coef in strategies.StrategyParams, the 20 bid buckets of
+winmodel.empirical_win_curve and the FedAvg step size lr=0.05 of
+fltrain.local_train.
 """
 
 from __future__ import annotations
@@ -43,8 +44,11 @@ from typing import Optional
 import yaml
 
 from . import fltrain
-from .errors import ConfigurationError
-from .strategies import NEEDS_THETA, Strategy, StrategyParams
+from .strategies import NEEDS_THETA, Strategy
+
+
+class ConfigurationError(ValueError):
+    """A configuration that cannot be run."""
 
 
 @dataclass
@@ -72,20 +76,12 @@ class RunConfig:
     noise_rate_blurred: float = 0.4
     train_fl: bool = True
     local_epochs: int = 100
-    fl_lr: float = 0.05
-    num_buckets: int = 20
-    const_bid: float = 0.5
-    rand_max: float = 1.0
-    lin_coef: float = 0.5
     output_dir: str = "out"
     agents: list = field(default_factory=default_agent_lineup)
 
     def scaled_budget(self, spec: AgentSpec) -> float:
         nominal = spec.budget if spec.budget is not None else self.budget
         return nominal * self.budget_scale
-
-    def strategy_params(self) -> StrategyParams:
-        return StrategyParams(self.const_bid, self.rand_max, self.lin_coef)
 
 
 _AGENT_KEYS = {"name", "strategy", "budget"}
@@ -119,9 +115,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.pool_size < 2:
         raise ConfigurationError("pool_size must be >= 2")
     lo, hi = cfg.sample_range
-    if lo < 1 or hi < lo:
-        raise ConfigurationError("sample_range must satisfy 1 <= min <= max")
-    for key in ("budget", "budget_scale", "fl_lr", "const_bid", "rand_max", "lin_coef"):
+    if not 1 <= lo <= hi <= 2**63 - 1:  # the pool draws sizes as int64
+        raise ConfigurationError("sample_range must satisfy 1 <= min <= max <= 2**63 - 1")
+    for key in ("budget", "budget_scale"):
         if not getattr(cfg, key) > 0:  # written so that NaN fails too
             raise ConfigurationError(f"{key} must be positive")
     for spec in cfg.agents:
@@ -137,9 +133,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
     shards, most = cfg.shards_per_owner, fltrain.NUM_CLASSES
     if cfg.partition == "niid" and not 1 <= shards <= most:
         raise ConfigurationError(f"shards_per_owner must be in [1, {most}], got {shards}")
-    if cfg.num_buckets < 2:
-        raise ConfigurationError("num_buckets must be >= 2")
     names = [a.name for a in cfg.agents]
+    if not names:
+        raise ConfigurationError("need at least one agent")
     if len(set(names)) != len(names):
         raise ConfigurationError("agent names must be unique")
     needy = [a.name for a in cfg.agents if a.strategy in NEEDS_THETA]

@@ -26,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimator, fltrain
-from .config import RunConfig, echo_config
-from .errors import ConfigurationError
+from .config import ConfigurationError, RunConfig, echo_config
 from .market import (
     ConsumerAgent,
     MarketResult,
@@ -80,13 +79,9 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
     them: agent j's bids are ``history["bids"][:, j]`` and it won where
     ``history["winner"] == j``.
     """
-    params = cfg.strategy_params()
     names = [a.name for a in cfg.agents]
     n = len(pool)
-    boot_agents = [
-        ConsumerAgent(name=name, strategy=Strategy.RAND, budget=math.inf, params=params)
-        for name in names
-    ]
+    boot_agents = [ConsumerAgent(name=name, strategy=Strategy.RAND, budget=math.inf) for name in names]
     history = np.empty(cfg.bootstrap_rounds * n, outcome_dtype(len(names)))
     for r in range(cfg.bootstrap_rounds):
         history[r * n : (r + 1) * n] = run_market(boot_agents, pool, rng.spawn(1)[0]).outcomes
@@ -101,13 +96,13 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
             if not won.any():
                 raise ConfigurationError(
                     f"agent {spec.name} won no bootstrap auctions; "
-                    "increase bootstrap_rounds or rand_max"
+                    "increase bootstrap_rounds"
                 )
             cal.fit = estimator.fit_with_backoff(Q[won], utility[won])
         form = WIN_FORM.get(spec.strategy)
         if form is not None:
             try:
-                curve = empirical_win_curve(history["bids"][:, j], won, cfg.num_buckets)
+                curve = empirical_win_curve(history["bids"][:, j], won)
                 c = calibrate_c(curve, form)
             except InsufficientDataError as exc:
                 raise ConfigurationError(
@@ -124,7 +119,6 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
 
 
 def build_market_agents(cfg: RunConfig, calibration: dict) -> list:
-    params = cfg.strategy_params()
     agents = []
     for spec in cfg.agents:
         cal = calibration[spec.name]
@@ -133,7 +127,6 @@ def build_market_agents(cfg: RunConfig, calibration: dict) -> list:
                 name=spec.name,
                 strategy=spec.strategy,
                 budget=cfg.scaled_budget(spec),
-                params=params,
                 theta=cal.theta,
                 win_model=cal.win_model,
                 lam=cal.lambda_solution.lam if cal.lambda_solution else 0.0,
@@ -179,7 +172,6 @@ def train_federated(
                 fltrain.zero_model(K, centers.shape[1]),
                 data,
                 local_epochs=cfg.local_epochs,
-                lr=cfg.fl_lr,
             )
             updates.append((w, num_samples))
         accuracy[name] = fltrain.evaluate(fltrain.fedavg(updates), test_X, test_labels)

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import estimator
-from .errors import ConfigurationError
 from .strategies import (
     Strategy,
     StrategyParams,
@@ -43,7 +42,9 @@ POOL_DTYPE = np.dtype([("id", np.int64), ("num_samples", np.int64),
 
 @dataclass
 class ConsumerAgent:
-    """One data consumer; a plain record of values the config checks and solve_lambda returns."""
+    """One data consumer: a plain record of the config's values, the strategy's
+    constants (``params``, the library defaults unless a caller varies them)
+    and the values solve_lambda returns.  No field is checked here."""
 
     name: str
     strategy: Strategy
@@ -76,18 +77,13 @@ class AgentMetrics:
     fl_accuracy: Optional[float] = None
 
 
-def generate_do_pool(pool_size: int, sample_range: tuple, master_seed) -> np.ndarray:
+def generate_do_pool(pool_size: int, sample_range: tuple, rng: np.random.Generator) -> np.ndarray:
     """The owner pool as ``POOL_DTYPE`` rows with ids 1..pool_size in row order.
 
     Sizes are uniform in sample_range and the first half is blurred.  The
-    config checks pool_size >= 2 and 1 <= min <= max.
+    config checks pool_size >= 2 and 1 <= min <= max <= 2**63 - 1.
     """
     lo, hi = sample_range
-    rng = (
-        master_seed
-        if isinstance(master_seed, np.random.Generator)
-        else np.random.default_rng(master_seed)
-    )
     pool = np.zeros(pool_size, POOL_DTYPE)
     pool["id"] = np.arange(1, pool_size + 1)
     pool["blurred"][: math.ceil(pool_size / 2)] = True
@@ -191,8 +187,6 @@ def run_market(
     agents are not modified: the remaining budgets live in ``_clear``.
     Agent names should be unique, as the config checks; the result is keyed by them.
     """
-    if len(agents) == 0 or len(pool) == 0:
-        raise ConfigurationError("need at least one agent and one owner")
     names = [a.name for a in agents]
     order_rng, tie_rng, *agent_rngs = rng.spawn(2 + len(agents))
     order = order_rng.permutation(len(pool))

@@ -38,7 +38,9 @@ WIN_FORM = {Strategy.FBS: WinForm.SIMPLE, Strategy.FBC: WinForm.COMPLEX}  # the 
 
 @dataclass
 class StrategyParams:
-    """The baselines' constants: a plain record whose values the config checks."""
+    """The baselines' constants.  The config takes no key for them, so these
+    defaults are the values every run uses; a caller may vary them per agent.
+    No value is checked here."""
 
     const_bid: float = 0.5
     rand_max: float = 1.0

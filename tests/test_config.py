@@ -8,13 +8,13 @@ import yaml
 from flmarket import config
 from flmarket.cli import main
 from flmarket.config import (
+    ConfigurationError,
     RunConfig,
     config_from_mapping,
     echo_config,
     parse_config,
 )
 from flmarket.experiment import run_experiment
-from flmarket.market import ConfigurationError
 from flmarket.strategies import WIN_FORM, Strategy
 from flmarket.winmodel import WinForm
 
@@ -58,6 +58,14 @@ def test_unknown_key_suggestion(tmp_path):
 def test_bad_sample_range():
     with pytest.raises(ConfigurationError, match="sample_range"):
         config_from_mapping({"master_seed": 1, "sample_range": [10, 5]})
+
+
+def test_sample_range_bounded_by_int64():
+    # the pool draws sizes with rng.integers(lo, hi + 1), which needs hi <= 2**63 - 1
+    with pytest.raises(ConfigurationError, match="sample_range"):
+        config_from_mapping({"master_seed": 1, "sample_range": [1, 2**63]})
+    cfg = config_from_mapping({"master_seed": 1, "sample_range": [1, 2**63 - 1]})
+    assert cfg.sample_range == (1, 2**63 - 1)
 
 
 def test_bad_partition():
@@ -137,14 +145,6 @@ def test_default_lineup_forms(tmp_path):
 @pytest.mark.parametrize(
     "key,value",
     [
-        ("num_buckets", 1),
-        ("num_buckets", 0),
-        ("const_bid", -1),
-        ("rand_max", 0),
-        ("lin_coef", -0.5),
-        ("const_bid", float("nan")),
-        ("rand_max", float("nan")),
-        ("lin_coef", float("nan")),
         ("budget", float("nan")),
         ("budget", 0),
         ("budget_scale", float("nan")),
@@ -178,9 +178,9 @@ def test_iid_ignores_shards_per_owner():
     [
         ("budget", "fifty"),
         ("pool_size", "100"),
-        ("fl_lr", "1e-3"),  # YAML 1.1 reads 1e-3 without a dot as a string
-        ("num_buckets", 2.5),
-        ("const_bid", True),
+        ("budget_scale", "1e-3"),  # YAML 1.1 reads 1e-3 without a dot as a string
+        ("bootstrap_rounds", 2.5),
+        ("budget", True),
         ("master_seed", None),
         ("train_fl", "no"),
         ("train_fl", 1),
@@ -202,8 +202,7 @@ def test_agent_budget_must_be_a_number():
 
 @pytest.mark.parametrize(
     "key,value",
-    [("num_buckets", 1), ("const_bid", -1), ("budget", "fifty"), ("budget", float("nan")),
-     ("rand_max", float("nan")), ("master_seed", -1)],
+    [("budget", "fifty"), ("budget", float("nan")), ("master_seed", -1)],
 )
 def test_cli_rejects_bad_value_before_running(tmp_path, capsys, key, value):
     out = tmp_path / "out"
@@ -216,9 +215,6 @@ def test_cli_rejects_bad_value_before_running(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "key,value,message",
     [
-        ("fl_lr", -1, "positive"),
-        ("fl_lr", 0, "positive"),
-        ("fl_lr", float("nan"), "positive"),
         ("local_epochs", -1, "non-negative"),
         ("bootstrap_rounds", 0, "bmub, lin, fbs, fbc need history"),
     ],
@@ -233,6 +229,16 @@ def test_gradient_descent_keys_are_unknown(tmp_path, capsys, key, value):
     # the estimator fit runs to the least-squares theta and takes no settings
     out = tmp_path / "out"
     path = write_config(tmp_path, {"master_seed": 1, "train_fl": False, key: value})
+    assert main(["--out", str(out), "run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown config key {key!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["fl_lr", "num_buckets", "const_bid", "rand_max", "lin_coef"])
+def test_model_constant_keys_are_unknown(tmp_path, capsys, key):
+    # the model's constants are the library's defaults; the config takes no key for them
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"master_seed": 1, "train_fl": False, key: 0.5})
     assert main(["--out", str(out), "run", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: unknown config key {key!r}")
     assert not out.exists()
@@ -267,6 +273,15 @@ def _sweep_with_bad_second_file(tmp_path):
     return ["sweep", str(config_dir)]
 
 
+def _sweep_with_duplicate_stem(tmp_path):
+    # a.yaml and a.yml would both write into <out>/a
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    (config_dir / "a.yaml").write_text(yaml.safe_dump({"master_seed": 1, "train_fl": False}))
+    (config_dir / "a.yml").write_text(yaml.safe_dump({"master_seed": 2, "train_fl": False}))
+    return ["sweep", str(config_dir)]
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -282,9 +297,10 @@ def _sweep_with_bad_second_file(tmp_path):
         (lambda tmp_path: ["run", str(write_config(tmp_path, {"master_seed": 1, "agents": []}))],
          "need at least one agent"),
         (_sweep_with_bad_second_file, "error: b.yaml: unknown config key 'budgt'"),
+        (_sweep_with_duplicate_stem, "error: a.yaml and a.yml"),
     ],
     ids=["yaml_syntax", "config_is_dir", "sweep_on_file", "seed_flag",
-         "agent_form", "no_agents", "sweep_bad_second_file"],
+         "agent_form", "no_agents", "sweep_bad_second_file", "sweep_duplicate_stem"],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

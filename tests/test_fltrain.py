@@ -62,7 +62,7 @@ class TestPartitionMode:
         """Each of 12 won owners' classes, in pool order, and the consumer's accuracy."""
         cfg = config_from_mapping({"master_seed": 1, "pool_size": 12, "sample_range": [100, 200],
                                    "local_epochs": 3, **settings})
-        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, 5)
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(5))
         outcomes = np.zeros(len(pool), outcome_dtype(1))
         outcomes["owner_id"] = pool["id"]  # agent 0 wins every owner
         seen = []

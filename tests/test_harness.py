@@ -9,7 +9,7 @@ import yaml
 
 from flmarket import estimator, experiment
 from flmarket.cli import main
-from flmarket.config import RunConfig, default_agent_lineup
+from flmarket.config import ConfigurationError, RunConfig, default_agent_lineup
 from flmarket.experiment import (
     bootstrap_history,
     emit_plots,
@@ -17,7 +17,7 @@ from flmarket.experiment import (
     run_experiment,
     summary_csv_header,
 )
-from flmarket.market import ConfigurationError, generate_do_pool, request_features
+from flmarket.market import generate_do_pool, request_features
 
 from conftest import assert_matches_row_predict
 
@@ -39,13 +39,13 @@ def small_config(seed=7, out="out", **kw):
 class TestBootstrap:
     def test_zero_rounds_fails_closed(self, tmp_path):
         cfg = small_config(out=str(tmp_path), bootstrap_rounds=0)
-        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, 1)
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(1))
         with pytest.raises(ConfigurationError, match="bootstrap_rounds"):
             bootstrap_history(cfg, pool, np.random.default_rng(0))
 
     def test_calibration_is_finite(self, tmp_path):
         cfg = small_config(out=str(tmp_path))
-        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, 1)
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(1))
         cal = bootstrap_history(cfg, pool, np.random.default_rng(0))
         for name in ("fbs", "fbc"):
             assert cal[name].win_model.c > 0
@@ -55,7 +55,7 @@ class TestBootstrap:
 
     def test_history_columns(self, tmp_path):
         cfg = small_config(out=str(tmp_path))
-        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, 1)
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(1))
         cal = bootstrap_history(cfg, pool, np.random.default_rng(0))
         history = cal[cfg.agents[0].name].history
         # one table of the bootstrap markets' outcomes, shared by every agent
@@ -77,7 +77,7 @@ class TestBootstrap:
 
     def test_reproducible(self, tmp_path):
         cfg = small_config(out=str(tmp_path))
-        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, 1)
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(1))
         a = bootstrap_history(cfg, pool, np.random.default_rng(5))
         b = bootstrap_history(cfg, pool, np.random.default_rng(5))
         for name in a:
