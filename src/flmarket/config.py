@@ -19,14 +19,14 @@ Schema (all keys optional except master_seed):
 
 An agent's strategy fixes its win model: fbs bids for W(b) = b/(c+b)
 and fbc for W(b) = b^2/(c^2+b^2), so an agent takes no 'form' key.
-Unknown keys, and values of the wrong type (a bool is not a number), are
-rejected (with a closest-match suggestion for a key).  The estimator
-fit takes no keys: it runs to the least-squares theta, and its clamp
-floor on 1 + theta.q is estimator.CLAMP_EPS (1e-6).  The bootstrap
-history is one structured array that all agents share: the bootstrap
-markets' outcome rows, bootstrap_rounds * pool_size of them.
-``_validate`` is the one gate: the library takes the values it passed
-as given and does not check them again.
+``_check_fields`` rejects unknown keys (with a closest-match hint) and
+values of the wrong type (a bool is not a number) for the run and each
+agent alike, and ``_validate`` checks the values; the library takes what
+they passed as given.  The estimator fit takes no keys: it runs to the
+least-squares theta, and its clamp floor on 1 + theta.q is
+estimator.CLAMP_EPS (1e-6).  The bootstrap history is one structured
+array that all agents share: the bootstrap markets' outcome rows,
+bootstrap_rounds * pool_size of them.
 
 The config describes the experiment; the model's constants take no key
 and live as the library's defaults: the baselines' const_bid, rand_max
@@ -84,17 +84,10 @@ class RunConfig:
         return nominal * self.budget_scale
 
 
-_AGENT_KEYS = {"name", "strategy", "budget"}
-
-
 def _parse_agent(raw, index: int) -> AgentSpec:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"agents[{index}] must be a mapping")
-    unknown = set(raw) - _AGENT_KEYS
-    if unknown:
-        raise ConfigurationError(
-            f"agents[{index}]: unknown key(s) {sorted(unknown)}"
-        )
+    _check_fields(AgentSpec, raw, f"agents[{index}]: ")
     try:
         strategy = Strategy(str(raw["strategy"]).lower())
     except (KeyError, ValueError):
@@ -102,11 +95,7 @@ def _parse_agent(raw, index: int) -> AgentSpec:
             f"agents[{index}]: 'strategy' must be one of "
             f"{[s.value for s in Strategy]}"
         )
-    budget = raw.get("budget")
-    if budget is not None and not (_has_type(budget, "float") and budget > 0):
-        raise ConfigurationError(f"agents[{index}]: budget must be a positive number")
-    name = str(raw.get("name", strategy.value))
-    return AgentSpec(name, strategy, None if budget is None else float(budget))
+    return AgentSpec(**{"name": strategy.value, **raw, "strategy": strategy})
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -122,7 +111,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigurationError(f"{key} must be positive")
     for spec in cfg.agents:
         if not cfg.scaled_budget(spec) / cfg.pool_size > 0:
-            raise ConfigurationError(f"agent {spec.name}: budget per request rounds to 0")
+            raise ConfigurationError(f"agent {spec.name}: budget per request must be positive")
     for key in ("bootstrap_rounds", "local_epochs"):
         if getattr(cfg, key) < 0:
             raise ConfigurationError(f"{key} must be non-negative")
@@ -144,29 +133,36 @@ def _validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-# the Python types a YAML value of each scalar annotation may have, and their name
-_SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-            "bool": (bool, "true or false"), "str": (str, "a string")}
+# the Python types a YAML value of each field annotation may have, and their name;
+# the other fields (sample_range, strategy) are checked where they are converted
+_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "Optional[float]": ((int, float, type(None)), "a number"),
+          "bool": (bool, "true or false"), "str": (str, "a string"), "list": (list, "a list")}
 
 
 def _has_type(value, annotation: str) -> bool:
-    """Whether a YAML value fits a field annotation; a bool is not a number."""
-    kinds = _SCALARS.get(annotation, (object,))[0]
+    """Whether a YAML value fits a field annotation in _TYPES; a bool is not a number."""
+    kinds = _TYPES[annotation][0]
     return isinstance(value, kinds) and (annotation == "bool" or not isinstance(value, bool))
 
 
-def config_from_mapping(raw: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
+def _check_fields(cls, raw: dict, where: str) -> None:
+    """Reject a key that is no field of ``cls``, and a value that does not fit its field."""
+    known = [f.name for f in fields(cls)]
     for key in raw:
         if key not in known:
             hint = difflib.get_close_matches(key, known, n=1)
             suffix = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise ConfigurationError(f"unknown config key {key!r}{suffix}")
+            raise ConfigurationError(f"{where}unknown config key {key!r}{suffix}")
+    for f in fields(cls):
+        if f.name in raw and f.type in _TYPES and not _has_type(raw[f.name], f.type):
+            raise ConfigurationError(f"{where}{f.name} must be {_TYPES[f.type][1]}, got {raw[f.name]!r}")
+
+
+def config_from_mapping(raw: dict) -> RunConfig:
+    _check_fields(RunConfig, raw, "")
     if "master_seed" not in raw:
         raise ConfigurationError("missing required key 'master_seed'")
-    for f in fields(RunConfig):
-        if f.name in raw and not _has_type(raw[f.name], f.type):
-            raise ConfigurationError(f"{f.name} must be {_SCALARS[f.type][1]}, got {raw[f.name]!r}")
     kwargs = dict(raw)
     if "sample_range" in kwargs:
         sr = kwargs["sample_range"]
@@ -175,10 +171,7 @@ def config_from_mapping(raw: dict) -> RunConfig:
             raise ConfigurationError("sample_range must be a [min, max] pair of integers")
         kwargs["sample_range"] = tuple(sr)
     if "agents" in kwargs:
-        agents = kwargs["agents"]
-        if not isinstance(agents, list):
-            raise ConfigurationError("agents must be a list")
-        kwargs["agents"] = [_parse_agent(a, i) for i, a in enumerate(agents)]
+        kwargs["agents"] = [_parse_agent(a, i) for i, a in enumerate(kwargs["agents"])]
     return _validate(RunConfig(**kwargs))
 
 

@@ -33,6 +33,12 @@ class FitResult:
     converged: bool  # grad_rel <= CONVERGED_GRAD_REL
 
 
+def _residuals(theta: np.ndarray, Q: np.ndarray, y):
+    """z = 1 + Q theta, unfloored, and the residuals r = ln max(z, CLAMP_EPS) - y."""
+    z = 1.0 + Q @ theta
+    return z, np.log(np.maximum(z, CLAMP_EPS)) - y
+
+
 def predict(theta: np.ndarray, q: np.ndarray):
     """s = ln(max(1 + theta.q, CLAMP_EPS)).
 
@@ -43,20 +49,20 @@ def predict(theta: np.ndarray, q: np.ndarray):
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != theta.shape:
         raise ValueError(f"dimension mismatch: theta {theta.shape} vs q {q.shape}")
-    s = np.log(np.maximum(1.0 + q @ theta, CLAMP_EPS))
+    s = _residuals(theta, q, 0.0)[1]
     return float(s) if s.ndim == 0 else s
 
 
 def loss(theta: np.ndarray, Q: np.ndarray, y: np.ndarray) -> float:
     """Squared-error loss 0.5 * sum (y_m - s(q_m))^2 over won records."""
-    z = np.maximum(1.0 + Q @ theta, CLAMP_EPS)
-    return 0.5 * float(np.sum((y - np.log(z)) ** 2))
+    r = _residuals(theta, Q, y)[1]
+    return 0.5 * float(r @ r)
 
 
 def gradient(theta: np.ndarray, Q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Analytic gradient: sum [ln(1+theta.q) - y] q / (1 + theta.q)."""
-    z = np.maximum(1.0 + Q @ theta, CLAMP_EPS)
-    return ((np.log(z) - y) / z) @ Q
+    """Gradient of ``loss`` above the floor: sum [ln(1+theta.q) - y] q / (1 + theta.q)."""
+    z, r = _residuals(theta, Q, y)
+    return (r / z) @ Q
 
 
 def fit(Q: np.ndarray, y: np.ndarray, max_iterations: int = 200) -> FitResult:
@@ -67,40 +73,42 @@ def fit(Q: np.ndarray, y: np.ndarray, max_iterations: int = 200) -> FitResult:
     (J^T J + mu I) d = -J^T r, with residuals r = ln z - y, z = 1 + Q theta
     and Jacobian J = Q / z, so that J^T r is ``gradient``.  A trial step
     that puts 1 + theta.q below CLAMP_EPS on a record, or does not lower
-    the loss, is rejected and mu doubles; an accepted one divides mu by 3.
-    The fit stops when the gradient norm falls to GRAD_REL_TARGET of its
-    norm at theta = 0, when a step no longer changes theta (no step can
-    lower the loss), or after ``max_iterations`` solves.
+    the loss, is rejected and mu doubles, as is a singular A + mu I; an
+    accepted one divides mu by 3.  The fit stops when the gradient norm
+    falls to GRAD_REL_TARGET of its norm at theta = 0, when a step no
+    longer changes theta (no step can lower the loss), or after
+    ``max_iterations`` solves.
     """
     if len(y) == 0:
         raise ValueError("history is empty; need at least one won record")
     theta = np.zeros(Q.shape[1])
-    z = np.ones(len(y))
-    r = -y  # ln 1 - y
+    z, r = _residuals(theta, Q, y)
     cur = 0.5 * float(r @ r)
     g = (r / z) @ Q
     g0 = float(np.linalg.norm(g))
     J = Q / z[:, None]
     A = J.T @ J
     mu = 1e-3 * float(np.max(np.diag(A)))  # start close to Gauss-Newton
+    eye = np.eye(len(theta))
     iterations = 0
     while iterations < max_iterations and np.linalg.norm(g) > GRAD_REL_TARGET * g0:
         iterations += 1
-        trial = theta + np.linalg.solve(A + mu * np.eye(len(theta)), -g)
+        try:
+            trial = theta + np.linalg.solve(A + mu * eye, -g)
+        except np.linalg.LinAlgError:  # A + mu I is singular: a rejected step
+            mu *= 2.0
+            continue
         if np.array_equal(trial, theta):
             break  # the step is below theta's rounding: no step lowers the loss
-        z_trial = 1.0 + Q @ trial
-        if z_trial.min() >= CLAMP_EPS:
-            r_trial = np.log(z_trial) - y
-            trial_loss = 0.5 * float(r_trial @ r_trial)
-            if trial_loss < cur:
-                theta, z, r, cur = trial, z_trial, r_trial, trial_loss
-                g = (r / z) @ Q
-                J = Q / z[:, None]
-                A = J.T @ J
-                mu /= 3.0
-                continue
-        mu *= 2.0
+        z_trial, r_trial = _residuals(trial, Q, y)
+        if z_trial.min() >= CLAMP_EPS and (trial_loss := 0.5 * float(r_trial @ r_trial)) < cur:
+            theta, z, r, cur = trial, z_trial, r_trial, trial_loss
+            g = (r / z) @ Q
+            J = Q / z[:, None]
+            A = J.T @ J
+            mu /= 3.0
+        else:
+            mu *= 2.0
     grad_rel = float(np.linalg.norm(g)) / g0 if g0 > 0 else 0.0
     return FitResult(theta, iterations, cur, grad_rel, grad_rel <= CONVERGED_GRAD_REL)
 

@@ -147,5 +147,4 @@ def calibrate_c(curve: tuple, form: WinForm) -> float:
         raise InsufficientDataError(
             "degenerate win curve (all rates 0 or 1); widen bid exploration"
         )
-    c_hat = _golden_section(lambda c: calibration_objective(curve, form, c), *c_bracket(curve))
-    return max(c_hat, C_MIN)
+    return _golden_section(lambda c: calibration_objective(curve, form, c), *c_bracket(curve))

@@ -8,6 +8,7 @@ import yaml
 from flmarket import config
 from flmarket.cli import main
 from flmarket.config import (
+    AgentSpec,
     ConfigurationError,
     RunConfig,
     config_from_mapping,
@@ -97,11 +98,14 @@ def test_agent_parsing():
 
 @pytest.mark.parametrize("key,value", [("budgt", 2), ("form", "simple")])
 def test_agent_unknown_key(key, value):
-    # fbs and fbc fix their own win model, so an agent takes no 'form'
-    with pytest.raises(ConfigurationError, match=f"agents\\[0\\]: unknown key\\(s\\) \\['{key}'\\]"):
+    # an agent's keys pass the run's gate, hint and all; fbs and fbc fix their
+    # own win model, so an agent takes no 'form'
+    hint = {"budgt": "; did you mean 'budget'?", "form": ""}[key]
+    with pytest.raises(ConfigurationError) as info:
         config_from_mapping(
             {"master_seed": 1, "agents": [{"name": "x", "strategy": "fbs", key: value}]}
         )
+    assert str(info.value) == f"agents[0]: unknown config key {key!r}{hint}"
 
 
 def test_duplicate_agent_names():
@@ -186,11 +190,27 @@ def test_iid_ignores_shards_per_owner():
         ("train_fl", 1),
         ("output_dir", 5),
         ("sample_range", ["1000", 10000]),
+        ("sample_range", True),
+        ("agents", True),
     ],
 )
 def test_wrong_value_type_names_key(key, value):
     with pytest.raises(ConfigurationError, match=key):
         config_from_mapping({"master_seed": 1, key: value})
+
+
+@pytest.mark.parametrize("name", [None, [1, 2], 1])
+def test_agent_name_must_be_a_string(name):
+    with pytest.raises(ConfigurationError, match=r"^agents\[0\]: name must be a string, got "):
+        config_from_mapping({"master_seed": 1, "agents": [{"name": name, "strategy": "const"}]})
+
+
+@pytest.mark.parametrize("budget", [-1, float("nan")])
+def test_agent_budget_must_be_positive(budget):
+    with pytest.raises(ConfigurationError, match="^agent x: budget per request must be positive$"):
+        config_from_mapping(
+            {"master_seed": 1, "agents": [{"name": "x", "strategy": "const", "budget": budget}]}
+        )
 
 
 def test_agent_budget_must_be_a_number():
@@ -293,14 +313,17 @@ def _sweep_with_duplicate_stem(tmp_path):
          "master_seed must be non-negative"),
         (lambda tmp_path: ["run", str(write_config(tmp_path, {
             "master_seed": 1, "agents": [{"name": "fbs", "strategy": "fbs", "form": "simple"}]}))],
-         "unknown key(s) ['form']"),
+         "error: agents[0]: unknown config key 'form'\n"),
+        (lambda tmp_path: ["run", str(write_config(tmp_path, {
+            "master_seed": 1, "agents": [{"name": None, "strategy": "fbs"}]}))],
+         "error: agents[0]: name must be a string, got None\n"),
         (lambda tmp_path: ["run", str(write_config(tmp_path, {"master_seed": 1, "agents": []}))],
          "need at least one agent"),
         (_sweep_with_bad_second_file, "error: b.yaml: unknown config key 'budgt'"),
         (_sweep_with_duplicate_stem, "error: a.yaml and a.yml"),
     ],
     ids=["yaml_syntax", "config_is_dir", "sweep_on_file", "seed_flag",
-         "agent_form", "no_agents", "sweep_bad_second_file", "sweep_duplicate_stem"],
+         "agent_form", "agent_name_null", "no_agents", "sweep_bad_second_file", "sweep_duplicate_stem"],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -317,5 +340,5 @@ def test_schema_docstring_names_every_key():
     schema = config.__doc__.split("\n\n")[2]
     example = yaml.safe_load(textwrap.dedent(schema))
     assert set(example) == {f.name for f in fields(RunConfig)}
-    assert set(example["agents"][0]) == config._AGENT_KEYS
+    assert set(example["agents"][0]) == {f.name for f in fields(AgentSpec)}
     config_from_mapping(example)

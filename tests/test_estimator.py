@@ -198,9 +198,48 @@ class TestFit:
         theta, iterations, loss, grad_rel = reference_lm_fit(Q, y, max_iterations)
         np.testing.assert_array_equal(result.theta, theta)
         assert (result.iterations, result.loss, result.grad_rel) == (iterations, loss, grad_rel)
-        assert result.loss == pytest.approx(est.loss(theta, Q, y), rel=1e-12, abs=1e-300)
+        # the fit reports loss() and gradient() at theta, bit for bit
+        assert result.loss == est.loss(theta, Q, y)
+        g0 = np.linalg.norm(est.gradient(np.zeros(3), Q, y))
+        assert result.grad_rel == np.linalg.norm(est.gradient(theta, Q, y)) / g0
         assert result.converged == (grad_rel <= est.CONVERGED_GRAD_REL)
         assert min(1.0 + Q @ theta) >= est.CLAMP_EPS
+
+    def test_singular_solve_is_a_rejected_step(self, rng, monkeypatch):
+        # a solve that raises counts as a solve and leaves theta where it was
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        Q, y = make_history([0.5, 1.0, 2.0], 20, rng)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        result = est.fit(Q, y, max_iterations=7)
+        np.testing.assert_array_equal(result.theta, np.zeros(3))
+        assert (result.iterations, result.loss, result.converged) == (7, est.loss(np.zeros(3), Q, y), False)
+
+    def test_constant_size_column(self, monkeypatch):
+        # every owner has one size, so the size feature is a multiple of the bias
+        # column and J^T J has rank 2; as mu shrinks, A + mu I turns singular
+        solve, singular = np.linalg.solve, []
+
+        def counting_solve(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        for pool_size, size in [(20, 10**6), (50, 10**5), (50, 10**6), (100, 10**5)]:
+            owners = np.arange(1, pool_size + 1)
+            sizes = np.full(pool_size, size)
+            Q = request_features(owners, sizes, pool_size)
+            y = est.true_utility(sizes, owners <= pool_size // 2)
+            result = est.fit(Q, y)
+            assert min(1.0 + Q @ result.theta) >= est.CLAMP_EPS
+            assert result.loss < est.loss(np.zeros(3), Q, y)
+            assert result.converged == (result.grad_rel <= est.CONVERGED_GRAD_REL)
+            assert result.iterations <= 200
+        assert singular  # these histories reach the singular solve
 
     @pytest.mark.parametrize(
         "seed,pool_size", [(seed, 100) for seed in range(10)] + [(4, 1000)]
