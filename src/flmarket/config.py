@@ -110,8 +110,11 @@ def _validate(cfg: RunConfig) -> RunConfig:
         if not getattr(cfg, key) > 0:  # written so that NaN fails too
             raise ConfigurationError(f"{key} must be positive")
     for spec in cfg.agents:
-        if not cfg.scaled_budget(spec) / cfg.pool_size > 0:
-            raise ConfigurationError(f"agent {spec.name}: budget per request must be positive")
+        try:  # YAML integers can be too large for a float, alone or multiplied
+            if not float(cfg.scaled_budget(spec)) / cfg.pool_size > 0:
+                raise ConfigurationError(f"agent {spec.name}: budget per request must be positive")
+        except OverflowError:
+            raise ConfigurationError(f"agent {spec.name}: scaled budget is too large for a float") from None
     for key in ("bootstrap_rounds", "local_epochs"):
         if getattr(cfg, key) < 0:
             raise ConfigurationError(f"{key} must be non-negative")

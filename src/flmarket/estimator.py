@@ -33,10 +33,12 @@ class FitResult:
     converged: bool  # grad_rel <= CONVERGED_GRAD_REL
 
 
-def _residuals(theta: np.ndarray, Q: np.ndarray, y):
-    """z = 1 + Q theta, unfloored, and the residuals r = ln max(z, CLAMP_EPS) - y."""
+def _residuals(theta: np.ndarray, Q: np.ndarray, y, counts=None):
+    """z = 1 + Q theta, unfloored, r = w (ln max(z, CLAMP_EPS) - y) and z / w, where row m
+    has weight w = sqrt(counts[m]), or w = 1.0, which keeps every bit, without counts."""
+    w = 1.0 if counts is None else np.sqrt(counts)
     z = 1.0 + Q @ theta
-    return z, np.log(np.maximum(z, CLAMP_EPS)) - y
+    return z, w * (np.log(np.maximum(z, CLAMP_EPS)) - y), z / w
 
 
 def predict(theta: np.ndarray, q: np.ndarray):
@@ -53,25 +55,26 @@ def predict(theta: np.ndarray, q: np.ndarray):
     return float(s) if s.ndim == 0 else s
 
 
-def loss(theta: np.ndarray, Q: np.ndarray, y: np.ndarray) -> float:
-    """Squared-error loss 0.5 * sum (y_m - s(q_m))^2 over won records."""
-    r = _residuals(theta, Q, y)[1]
+def loss(theta: np.ndarray, Q: np.ndarray, y: np.ndarray, counts=None) -> float:
+    """Squared-error loss 0.5 * sum counts_m (y_m - s(q_m))^2 over won records."""
+    r = _residuals(theta, Q, y, counts)[1]
     return 0.5 * float(r @ r)
 
 
-def gradient(theta: np.ndarray, Q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of ``loss`` above the floor: sum [ln(1+theta.q) - y] q / (1 + theta.q)."""
-    z, r = _residuals(theta, Q, y)
-    return (r / z) @ Q
+def gradient(theta: np.ndarray, Q: np.ndarray, y: np.ndarray, counts=None) -> np.ndarray:
+    """Gradient of ``loss`` above the floor: sum counts [ln(1+theta.q) - y] q / (1 + theta.q)."""
+    _, r, zw = _residuals(theta, Q, y, counts)
+    return (r / zw) @ Q
 
 
-def fit(Q: np.ndarray, y: np.ndarray, max_iterations: int = 200) -> FitResult:
+def fit(Q: np.ndarray, y: np.ndarray, counts=None, max_iterations: int = 200) -> FitResult:
     """Least-squares theta on won records (Q, y) by Levenberg-Marquardt.
 
-    ``Q`` holds one feature row per record and ``y`` its realized
-    utility.  From theta = 0, each iteration solves
-    (J^T J + mu I) d = -J^T r, with residuals r = ln z - y, z = 1 + Q theta
-    and Jacobian J = Q / z, so that J^T r is ``gradient``.  A trial step
+    ``Q`` holds one feature row per record, ``y`` its realized utility and
+    ``counts``, if given, how often it was won: each row stands for that
+    many.  From theta = 0, each iteration solves (J^T J + mu I) d = -J^T r,
+    with r = w (ln z - y), z = 1 + Q theta, weights w = sqrt(counts) and
+    J = Q / (z / w), so that J^T r is ``gradient``.  A trial step
     that puts 1 + theta.q below CLAMP_EPS on a record, or does not lower
     the loss, is rejected and mu doubles, as is a singular A + mu I; an
     accepted one divides mu by 3.  The fit stops when the gradient norm
@@ -82,11 +85,11 @@ def fit(Q: np.ndarray, y: np.ndarray, max_iterations: int = 200) -> FitResult:
     if len(y) == 0:
         raise ValueError("history is empty; need at least one won record")
     theta = np.zeros(Q.shape[1])
-    z, r = _residuals(theta, Q, y)
+    _, r, zw = _residuals(theta, Q, y, counts)
     cur = 0.5 * float(r @ r)
-    g = (r / z) @ Q
+    g = (r / zw) @ Q
     g0 = float(np.linalg.norm(g))
-    J = Q / z[:, None]
+    J = Q / zw[:, None]
     A = J.T @ J
     mu = 1e-3 * float(np.max(np.diag(A)))  # start close to Gauss-Newton
     eye = np.eye(len(theta))
@@ -100,11 +103,11 @@ def fit(Q: np.ndarray, y: np.ndarray, max_iterations: int = 200) -> FitResult:
             continue
         if np.array_equal(trial, theta):
             break  # the step is below theta's rounding: no step lowers the loss
-        z_trial, r_trial = _residuals(trial, Q, y)
+        z_trial, r_trial, zw_trial = _residuals(trial, Q, y, counts)
         if z_trial.min() >= CLAMP_EPS and (trial_loss := 0.5 * float(r_trial @ r_trial)) < cur:
-            theta, z, r, cur = trial, z_trial, r_trial, trial_loss
-            g = (r / z) @ Q
-            J = Q / z[:, None]
+            theta, r, zw, cur = trial, r_trial, zw_trial, trial_loss
+            g = (r / zw) @ Q
+            J = Q / zw[:, None]
             A = J.T @ J
             mu /= 3.0
         else:
@@ -128,7 +131,7 @@ def true_utility(num_samples, blurred) -> np.ndarray:
     return g * np.log1p(np.asarray(num_samples) / 1000.0)
 
 
-def fit_with_backoff(Q, y) -> FitResult:
+def fit_with_backoff(Q, y, counts=None) -> FitResult:
     # The benchmark tracer (bench/spans.py) times and counts fits by this
     # name; keep it until its spans wrap ``fit`` directly.
-    return fit(Q, y)
+    return fit(Q, y, counts)

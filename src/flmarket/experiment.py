@@ -77,7 +77,8 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
     the bid range, not to spend real money.  Every agent bids in every
     auction, so the markets' outcome rows are one history for all of
     them: agent j's bids are ``history["bids"][:, j]`` and it won where
-    ``history["winner"] == j``.
+    ``history["winner"] == j``.  The rounds repeat the pool, so theta is fitted
+    on the owners an agent won, weighted by win count, and lambda paces over the pool.
     """
     names = [a.name for a in cfg.agents]
     n = len(pool)
@@ -85,8 +86,8 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
     history = np.empty(cfg.bootstrap_rounds * n, outcome_dtype(len(names)))
     for r in range(cfg.bootstrap_rounds):
         history[r * n : (r + 1) * n] = run_market(boot_agents, pool, rng.spawn(1)[0]).outcomes
-    Q = request_features(history["owner_id"], history["num_samples"], n)
-    utility = estimator.true_utility(history["num_samples"], pool["blurred"][history["owner_id"] - 1])
+    Q = request_features(pool["id"], pool["num_samples"], n)
+    utility = estimator.true_utility(pool["num_samples"], pool["blurred"])
 
     calibration = {}
     for j, spec in enumerate(cfg.agents):
@@ -98,7 +99,9 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
                     f"agent {spec.name} won no bootstrap auctions; "
                     "increase bootstrap_rounds"
                 )
-            cal.fit = estimator.fit_with_backoff(Q[won], utility[won])
+            wins = np.bincount(history["owner_id"][won] - 1, minlength=n)  # per pool row
+            owned = wins > 0
+            cal.fit = estimator.fit_with_backoff(Q[owned], utility[owned], wins[owned])
         form = WIN_FORM.get(spec.strategy)
         if form is not None:
             try:

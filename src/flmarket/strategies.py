@@ -140,37 +140,43 @@ def check_foc(s: float, b: float, model: WinningFunctionModel, lam: float) -> fl
     ) * win_prob(model, b)
 
 
-def _bisect(below, lo: float, hi: float) -> tuple:
-    """Shrink [lo, hi] around the point where ``below`` turns false.
+def _regula_falsi(g, lo: float, hi: float, g_lo: float, g_hi: float) -> tuple:
+    """Shrink [lo, hi], given g(lo) = ``g_lo`` <= 0 < ``g_hi`` = g(hi), to adjacent floats.
 
-    ``below`` must be true left of that point and false right of it; it
-    is taken as true at ``lo`` and false at ``hi`` and is never called
-    there.  Halves until the midpoint rounds to an end, that is until no
-    float lies strictly inside, so it needs no tolerance and stops after
-    at most about 2,100 halvings.  Returns ``(lo, hi, halvings)``.
+    Illinois regula falsi (Dowell & Jarratt 1971, BIT 11): step to the chord's
+    zero, halving the value kept at an end that two steps in a row leave in
+    place; halve the bracket instead once it is within 64 ulps or the chord's
+    zero is not strictly inside.  Stops when no float lies strictly inside.
+    Where the computed g is monotone, ``lo`` is the largest float with
+    g(lo) <= 0, where halving ends too.  Returns ``(lo, hi, evaluations)``.
     """
-    halvings = 0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if below(mid):
-            lo = mid
+    evaluations, side = 0, 0
+    while lo < (x := 0.5 * (lo + hi)) < hi:
+        if hi - lo > 64 * np.spacing(hi):
+            chord = float(lo + (hi - lo) * (g_lo / (g_lo - g_hi)))
+            x = chord if lo < chord < hi else x
+        gx = g(x)
+        evaluations += 1
+        if gx <= 0:
+            lo, g_lo, g_hi, side = x, gx, g_hi * (0.5 if side < 0 else 1.0), -1
         else:
-            hi = mid
-        halvings += 1
-    return lo, hi, halvings
+            hi, g_hi, g_lo, side = x, gx, g_lo * (0.5 if side > 0 else 1.0), 1
+    return lo, hi, evaluations
 
 
 def oracle_optimal_bid(s: float, model: WinningFunctionModel, lam: float) -> float:
     """Reference maximizer of the per-request surplus f(b) = (s - (1+lam) b) W(b).
 
     f is positive and log-concave on (0, s/(1+lam)) for both win models,
-    and negative beyond it, so f' changes sign exactly once there: bisect
-    the sign of ``check_foc`` to adjacent floats.  Never calls the closed
+    and negative beyond it, so f' changes sign exactly once there: narrow
+    the root of -``check_foc`` to adjacent floats.  Never calls the closed
     forms, which it certifies in tests; not for the hot path.
     """
     if s <= 0:
         return 0.0
-    lo, _, _ = _bisect(lambda b: check_foc(s, b, model, lam) > 0, 0.0, s / (1.0 + lam))
-    return lo
+    g = lambda b: -check_foc(s, b, model, lam)
+    hi = s / (1.0 + lam)
+    return _regula_falsi(g, 0.0, hi, g(0.0), g(hi))[0]
 
 
 def expected_spend_per_request(
@@ -192,9 +198,10 @@ def solve_lambda(
     Returns lambda = 0 when the budget constraint is slack at the
     unconstrained optimum.  Otherwise the spend rises with k = 1/(1+lambda)
     from 0 as k -> 0 to above the target at k = 1, so [0, 1] brackets the
-    root: bisect k to adjacent floats and return lambda = 1/lo - 1 for the
-    largest k found whose spend is at most the target, with that spend.
-    ``note`` is set only when every utility sample is zero.
+    root: narrow k to adjacent floats by regula falsi on spend - target and
+    return lambda = 1/lo - 1 for the largest k found whose spend is at most
+    the target, with that spend and the number of spend evaluations it
+    took.  ``note`` is set only when every utility sample is zero.
     """
     if len(utility_samples) == 0:
         raise ValueError("utility_samples must be non-empty")
@@ -211,9 +218,9 @@ def solve_lambda(
         return LambdaSolution(0.0, g0, target, 0)
     spend = {}
 
-    def below(k):
+    def excess(k):
         spend[k] = expected_spend_per_request(samples, model, 1.0 / k - 1.0)
-        return spend[k] <= target
+        return spend[k] - target
 
-    lo, _, halvings = _bisect(below, 0.0, 1.0)
-    return LambdaSolution(1.0 / lo - 1.0, spend[lo], target, halvings)
+    lo, _, evaluations = _regula_falsi(excess, 0.0, 1.0, -target, g0 - target)
+    return LambdaSolution(1.0 / lo - 1.0, spend[lo], target, evaluations)

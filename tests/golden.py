@@ -90,7 +90,7 @@ def outputs() -> dict:
                 "summary": sha256(art.summary_csv),
                 "calibration": sha256(art.calibration_report),
             }
-            if not kwargs.get("train_fl", True) and "pool_size" not in kwargs:
+            if name.startswith("seed"):  # the seed x budget grid makes the table
                 key = kwargs["master_seed"], int(kwargs["budget"])
                 samples[key] = {n: m.total_samples for n, m in art.metrics.items()}
     return {"versions": versions(), "table": table(samples), "runs": digests}

@@ -12,6 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
@@ -38,6 +39,14 @@ def log_uniform(lo, hi):
     return hs.floats(0.0, 1.0).map(lambda t: lo * (hi / lo) ** t)
 
 
+def amounts(lo, hi):
+    """Log-uniform floats, and one draw in ten a YAML integer of up to 400 digits,
+    which may be past the float range."""
+    return hs.integers(0, 9).flatmap(
+        lambda k: hs.integers(1, 10**400) if k == 0 else log_uniform(lo, hi)
+    )
+
+
 sample_ranges = hs.one_of(
     hs.integers(10**5, 10**9).map(lambda n: [n, n]),  # every owner one size
     hs.lists(hs.integers(1, 10**9), min_size=2, max_size=2).map(sorted),
@@ -45,7 +54,7 @@ sample_ranges = hs.one_of(
 agent_lists = hs.lists(
     hs.fixed_dictionaries(
         {"strategy": hs.sampled_from([s.value for s in Strategy])},
-        optional={"budget": log_uniform(1e-6, 1e6)},
+        optional={"budget": amounts(1e-6, 1e6)},
     ),
     min_size=1,
     max_size=7,
@@ -55,8 +64,8 @@ configs = hs.fixed_dictionaries(
         "master_seed": hs.integers(0, 2**32 - 1),
         "pool_size": hs.integers(2, 100),
         "sample_range": sample_ranges,
-        "budget": log_uniform(1e-6, 1e6),
-        "budget_scale": log_uniform(1e-6, 100.0),
+        "budget": amounts(1e-6, 1e6),
+        "budget_scale": amounts(1e-6, 100.0),
         "bootstrap_rounds": hs.integers(1, 20),
         "train_fl": hs.just(False),
     },
@@ -85,3 +94,18 @@ def test_one_size_for_every_owner_runs():
             if "estimator_converged" in agent:
                 converged = agent["estimator_grad_rel"] <= estimator.CONVERGED_GRAD_REL
                 assert agent["estimator_converged"] == converged
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"budget": 10**400},
+        {"budget_scale": 10**400},
+        {"budget": 10**200, "budget_scale": 10**200},  # each fits a float, the product does not
+        {"agents": [{"name": "x", "strategy": "const", "budget": 10**400}]},
+    ],
+)
+def test_budget_too_large_for_a_float_is_rejected(raw):
+    status, err, report = run_cli({"master_seed": 1, "train_fl": False, **raw})
+    assert status == 2 and report is None
+    assert err.startswith("error: agent ") and err.endswith("scaled budget is too large for a float\n")

@@ -194,7 +194,7 @@ class TestFit:
     )
     def test_bit_identical_to_reference_loop(self, rng, theta_star, rows, max_iterations):
         Q, y = make_history(theta_star, rows, rng)
-        result = est.fit(Q, y, max_iterations)
+        result = est.fit(Q, y, max_iterations=max_iterations)
         theta, iterations, loss, grad_rel = reference_lm_fit(Q, y, max_iterations)
         np.testing.assert_array_equal(result.theta, theta)
         assert (result.iterations, result.loss, result.grad_rel) == (iterations, loss, grad_rel)
@@ -264,6 +264,55 @@ class TestFit:
             assert grad_rel <= 1e-6 and cal.fit.converged
             fits += 1
         assert fits == 4
+
+
+def repeated_history(rng, distinct=40):
+    """Distinct noisy records, win counts, and the records repeated that often, shuffled."""
+    Q, y = make_history(rng.uniform(-0.2, 2.0, 3), distinct, rng)
+    y = y + rng.normal(0.0, 0.1, distinct)
+    counts = rng.integers(1, 30, distinct)
+    order = rng.permutation(int(counts.sum()))
+    return Q, y, counts, np.repeat(Q, counts, axis=0)[order], np.repeat(y, counts)[order]
+
+
+class TestWeightedFit:
+    def test_counts_fit_the_repeated_rows(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            Q, y, counts, Q_rep, y_rep = repeated_history(rng)
+            weighted, repeated = est.fit(Q, y, counts), est.fit(Q_rep, y_rep)
+            assert weighted.converged and repeated.converged
+            np.testing.assert_allclose(weighted.theta, repeated.theta, rtol=1e-12)
+            assert weighted.loss == pytest.approx(repeated.loss, rel=1e-12)
+
+    def test_unit_counts_keep_the_bits(self, rng):
+        Q, y, _, _, _ = repeated_history(rng)
+        ones = np.ones(len(y), dtype=np.int64)
+        weighted, plain = est.fit(Q, y, ones), est.fit(Q, y)
+        np.testing.assert_array_equal(weighted.theta, plain.theta)
+        assert (weighted.iterations, weighted.loss, weighted.grad_rel) == (
+            plain.iterations, plain.loss, plain.grad_rel
+        )
+        theta = plain.theta
+        assert est.loss(theta, Q, y, ones) == est.loss(theta, Q, y)
+        np.testing.assert_array_equal(est.gradient(theta, Q, y, ones), est.gradient(theta, Q, y))
+
+    def test_reports_the_weighted_loss_and_gradient(self, rng):
+        Q, y, counts, _, _ = repeated_history(rng)
+        result = est.fit(Q, y, counts)
+        assert result.loss == est.loss(result.theta, Q, y, counts)
+        g0 = np.linalg.norm(est.gradient(np.zeros(3), Q, y, counts))
+        assert result.grad_rel == np.linalg.norm(est.gradient(result.theta, Q, y, counts)) / g0
+
+    def test_weighted_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            Q, y, counts, _, _ = repeated_history(rng, distinct=int(rng.integers(1, 8)))
+            theta = rng.uniform(-0.3, 0.3, 3)
+            if min(1.0 + Q @ theta) < 0.1:
+                continue
+            fd = central_difference(lambda t: est.loss(t, Q, y, counts), theta)
+            np.testing.assert_allclose(est.gradient(theta, Q, y, counts), fd, rtol=1e-5, atol=1e-8)
 
 
 class TestTrueUtility:

@@ -75,6 +75,28 @@ class TestBootstrap:
             theta = cal[name].theta
             assert_matches_row_predict(theta, Q, estimator.predict(theta, Q))
 
+    def test_calibrates_on_the_pool(self, tmp_path, monkeypatch):
+        # lambda paces over the N owners, theta fits each won owner once, weighted
+        cfg = small_config(out=str(tmp_path))
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(1))
+        fits, solves = [], []
+        fit, solve = estimator.fit_with_backoff, experiment.solve_lambda
+        monkeypatch.setattr(estimator, "fit_with_backoff", lambda *a: fits.append(a) or fit(*a))
+        monkeypatch.setattr(experiment, "solve_lambda", lambda *a: solves.append(a) or solve(*a))
+        cal = bootstrap_history(cfg, pool, np.random.default_rng(0))
+        assert [len(args[0]) for args in solves] == [cfg.pool_size, cfg.pool_size]
+        history, fits = cal["fbs"].history, iter(fits)
+        for j, spec in enumerate(cfg.agents):
+            if cal[spec.name].fit is None:
+                continue
+            Q, y, counts = next(fits)
+            ids, wins = np.unique(history["owner_id"][history["winner"] == j], return_counts=True)
+            sizes = pool["num_samples"][ids - 1]
+            np.testing.assert_array_equal(counts, wins)
+            np.testing.assert_array_equal(Q, request_features(ids, sizes, cfg.pool_size))
+            np.testing.assert_array_equal(y, estimator.true_utility(sizes, pool["blurred"][ids - 1]))
+        assert next(fits, None) is None
+
     def test_reproducible(self, tmp_path):
         cfg = small_config(out=str(tmp_path))
         pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(1))

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from flmarket import experiment
 from flmarket import strategies as st
+from flmarket.config import RunConfig
 from flmarket.strategies import LambdaSolution, StrategyParams
 from flmarket.winmodel import WinForm, WinningFunctionModel
 
+import golden
 from conftest import criterion_triples
 
 
@@ -278,13 +281,13 @@ class TestSolveLambda:
         assert sol.note is None
 
     def test_bracket_collapses(self, rng, monkeypatch):
-        brackets, bisect = [], st._bisect
+        brackets, narrow = [], st._regula_falsi
 
         def recorded(*args):
-            brackets.append(bisect(*args))
+            brackets.append(narrow(*args))
             return brackets[-1]
 
-        monkeypatch.setattr(st, "_bisect", recorded)
+        monkeypatch.setattr(st, "_regula_falsi", recorded)
         for form in (simple(0.8), complex_(0.8)):
             samples = self._samples(rng)
             budget = 0.1 * st.expected_spend_per_request(samples, form, 0.0) * 100
@@ -329,3 +332,82 @@ class TestSolveLambda:
         for budget in (-5.0, 0.0, math.nan, 5e-324):  # the last gives a target of 0
             with pytest.raises(ValueError):
                 st.solve_lambda([1.0], simple(1.0), budget, 10)
+
+
+def lambda_by_halving(samples, model, budget, num_requests):
+    """The lambda that plain halving of k = 1/(1+lambda) on [0, 1] to adjacent
+    floats finds, and its number of halvings."""
+    target, lo, hi, halvings = budget / num_requests, 0.0, 1.0, 0
+    while lo < (k := 0.5 * (lo + hi)) < hi:
+        if st.expected_spend_per_request(samples, model, 1.0 / k - 1.0) <= target:
+            lo = k
+        else:
+            hi = k
+        halvings += 1
+    return 1.0 / lo - 1.0, halvings
+
+
+@pytest.fixture(scope="module")
+def run_solves(tmp_path_factory):
+    """The solve_lambda arguments of the golden set's runs without FL."""
+    solves, solve = [], experiment.solve_lambda
+
+    def recorded(*args):
+        solves.append(args)
+        return solve(*args)
+
+    experiment.solve_lambda = recorded
+    try:
+        for name, kwargs in golden.runs().items():
+            if not kwargs.get("train_fl", True):
+                out = tmp_path_factory.mktemp(name)
+                experiment.run_experiment(RunConfig(output_dir=str(out), **kwargs))
+    finally:
+        experiment.solve_lambda = solve
+    return solves
+
+
+class TestRegulaFalsi:
+    """The root finder ends where halving ends, with fewer evaluations."""
+
+    def test_same_lambda_as_halving_on_random_spend_curves(self):
+        rng = np.random.default_rng(23)
+        for i in range(200):
+            n = int(rng.integers(1, 300))
+            samples = 10.0 ** rng.uniform(-6, 1, n)
+            samples[rng.random(n) < 0.1] = 0.0
+            samples[0] = 1.0
+            form = (simple, complex_)[i % 2](10.0 ** rng.uniform(-3, 1))
+            g0 = st.expected_spend_per_request(samples, form, 0.0)
+            budget = 10.0 ** rng.uniform(-12, -1e-3) * g0 * 10
+            sol = st.solve_lambda(samples, form, budget, 10)
+            lam, halvings = lambda_by_halving(samples, form, budget, 10)
+            assert sol.lam == lam
+            assert 0 < sol.iterations <= halvings
+
+    def test_same_lambda_as_halving_on_the_runs(self, run_solves):
+        assert len(run_solves) == 62  # fbs and fbc in each of 31 runs
+        for args in run_solves:
+            sol = st.solve_lambda(*args)
+            lam, halvings = lambda_by_halving(*args)
+            assert sol.lam == lam
+            assert sol.iterations <= halvings
+
+    def test_ends_on_adjacent_floats_with_the_given_end_values(self):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x**3 - 0.3
+
+        lo, hi, evaluations = st._regula_falsi(g, 0.0, 1.0, -0.3, 0.7)
+        assert evaluations == len(calls) and not {0.0, 1.0} & set(calls)
+        assert hi == math.nextafter(lo, math.inf) and g(lo) <= 0 < g(hi)
+
+    def test_oracle_ends_on_adjacent_floats_across_a_sign_change(self):
+        for s, c, lam in criterion_triples(500):
+            for form in WinForm:
+                model = WinningFunctionModel(form, c)
+                b = st.oracle_optimal_bid(s, model, lam)
+                above = math.nextafter(b, math.inf)
+                assert st.check_foc(s, b, model, lam) >= 0 > st.check_foc(s, above, model, lam)
