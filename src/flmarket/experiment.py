@@ -114,9 +114,7 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
             cal.win_model = WinningFunctionModel(form, c)
             cal.c_at_bracket_edge = at_bracket_edge(curve, c)
             samples = estimator.predict(cal.theta, Q)
-            cal.lambda_solution = solve_lambda(
-                samples, cal.win_model, cfg.scaled_budget(spec), cfg.pool_size
-            )
+            cal.lambda_solution = solve_lambda(samples, cal.win_model, cfg.scaled_budget(spec))
         calibration[spec.name] = cal
     return calibration
 
@@ -264,8 +262,6 @@ def write_calibration_report(path, cfg: RunConfig, calibration: dict):
             entry["lambda"] = sol.lam
             entry["expected_spend_per_request"] = sol.expected_spend_per_request
             entry["spend_target"] = sol.target
-            if sol.note is not None:
-                entry["lambda_note"] = sol.note
         report["agents"][name] = entry
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 

@@ -8,10 +8,10 @@ never exceeds the budget.
 
 Raw bids never depend on budget state, so the market computes them as
 one column per agent up front and then clears them in segments: each
-segment clamps a block of rows to the budgets left at its first row and
-clears the block at once, up to the first row whose clamped bids the
-block's own wins would change.  The outcomes have the bits of clearing
-one row at a time.
+segment clamps every row still to clear to the budgets left at its first
+row and clears them at once, up to the first row whose clamped bids would
+change if every top bidder of each earlier row paid.  The outcomes have
+the bits of clearing one row at a time.
 """
 
 from __future__ import annotations
@@ -125,50 +125,44 @@ def _clear(raw: np.ndarray, budgets: Sequence[float], names: Sequence[str],
            tie_rng: np.random.Generator):
     """Clear the rows of ``raw`` in auction order: (clamped bids, winner, price) per row.
 
-    Each segment clamps a window of rows to the budgets left at its first row
-    and clears them at once.  The running budgets are subtracted left to right,
-    so they have the bits of one subtraction per win.  The segment keeps the
-    rows before the first one whose clamped bids those budgets would change,
-    and the next segment starts there.  Ties draw one ``tie_rng`` integer each,
-    in row order; draws for rows past a cut are undone by restoring the state.
+    Each segment clamps every row still to clear to the budgets left at its
+    first row.  No agent pays more than if every top bidder of each row paid
+    its bid, so the segment keeps the rows before the first one whose clamped
+    bids that bound would change: they clear as one row at a time would.  Their
+    ties then draw one ``tie_rng`` integer each, in row order, and their winners
+    pay left to right, so the budgets have the bits of one subtraction per win.
     """
     n, m = raw.shape
     by_name = np.array(sorted(range(m), key=names.__getitem__))  # tie order
     bids, winner, price = np.empty((n, m)), np.empty(n, np.int64), np.empty(n)
     left = np.array(budgets, dtype=float)
-    start, window = 0, 32
+    start = 0
     while start < n:
-        rows = raw[start : start + window]
-        live = _live(rows, left)
+        live = _live(raw[start:], left)
         positive = live > 0
         best = np.where(positive, live, 0.0).max(axis=1)
-        top = (positive & (live == best[:, None]))[:, by_name]
+        top = positive & (live == best[:, None])
+        # every top bidder pays: no budget falls below these
+        bound = np.subtract.accumulate(np.vstack([left, top * best[:, None]]), axis=0)
+        after = _live(raw[start:], bound[:-1])
+        changed = ((after != live) & ~(np.isnan(after) & np.isnan(live))).any(axis=1)
+        # row 0 was clamped to these very budgets: argmax is 0 only when no row changed
+        kept = int(changed.argmax()) or len(live)
+        best, top = best[:kept], top[:kept, by_name]
         won = by_name[top.argmax(axis=1)]
         won[best == 0] = -1
         counts = top.sum(axis=1)
         ties = np.flatnonzero(counts > 1)
-        state = tie_rng.bit_generator.state
         picks = np.array([tie_rng.integers(k) for k in counts[ties].tolist()], dtype=np.int64)
         # each tie goes to its picks-th top bid in name order
         won[ties] = by_name[(top[ties].cumsum(axis=1) > picks[:, None]).argmax(axis=1)]
         sold = np.flatnonzero(won >= 0)
-        steps = np.zeros((len(rows) + 1, m))
+        steps = np.zeros((kept + 1, m))
         steps[0] = left
         steps[sold + 1, won[sold]] = best[sold]
-        running = np.subtract.accumulate(steps, axis=0)
-        after = _live(rows, running[:-1])
-        changed = ((after != live) & ~(np.isnan(after) & np.isnan(live))).any(axis=1)
-        # row 0 was clamped to these very budgets: argmax is 0 only when no row changed
-        kept = int(changed.argmax()) or len(rows)
-        if ties.size and ties[-1] >= kept:
-            tie_rng.bit_generator.state = state  # redraw only the kept rows' ties
-            for k in counts[ties[ties < kept]].tolist():
-                tie_rng.integers(k)
+        left = np.subtract.accumulate(steps, axis=0)[-1]
         end = start + kept
-        bids[start:end], winner[start:end], price[start:end] = live[:kept], won[:kept], best[:kept]
-        left = running[kept]
-        # widen while whole windows clear; after a cut, budgets run out about that often
-        window = 2 * window if kept == len(rows) else 2 * kept
+        bids[start:end], winner[start:end], price[start:end] = live[:kept], won, best
         start = end
     return bids, winner, price
 

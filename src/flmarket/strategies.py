@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class LambdaSolution:
     expected_spend_per_request: float
     target: float
     iterations: int
-    note: Optional[str] = None
 
 
 # The baselines bid on a column of requests: one draw per request from the
@@ -146,13 +145,18 @@ def _regula_falsi(g, lo: float, hi: float, g_lo: float, g_hi: float) -> tuple:
     Illinois regula falsi (Dowell & Jarratt 1971, BIT 11): step to the chord's
     zero, halving the value kept at an end that two steps in a row leave in
     place; halve the bracket instead once it is within 64 ulps or the chord's
-    zero is not strictly inside.  Stops when no float lies strictly inside.
-    Where the computed g is monotone, ``lo`` is the largest float with
-    g(lo) <= 0, where halving ends too.  Returns ``(lo, hi, evaluations)``.
+    zero is not strictly inside.  After a step to g = 0 exactly, step to the
+    next float up, then twice as far for each further 0, up to the midpoint.
+    Stops when no float lies strictly inside.  Where the computed g is
+    monotone, ``lo`` is the largest float with g(lo) <= 0, where halving ends
+    too.  Returns ``(lo, hi, evaluations)``.
     """
-    evaluations, side = 0, 0
+    evaluations, side, step = 0, 0, 0.0
     while lo < (x := 0.5 * (lo + hi)) < hi:
-        if hi - lo > 64 * np.spacing(hi):
+        if side < 0 and g_lo == 0:
+            step = 2 * step if step else float(np.spacing(lo))
+            x = min(lo + step, x)
+        elif hi - lo > 64 * np.spacing(hi):
             chord = float(lo + (hi - lo) * (g_lo / (g_lo - g_hi)))
             x = chord if lo < chord < hi else x
         gx = g(x)
@@ -191,28 +195,22 @@ def solve_lambda(
     utility_samples: Sequence[float],
     model: WinningFunctionModel,
     budget: float,
-    num_requests: int,
 ) -> LambdaSolution:
-    """Solve for the budget multiplier: expected spend per request = B/N.
+    """Solve for the budget multiplier: mean expected spend over the N samples = B/N.
 
     Returns lambda = 0 when the budget constraint is slack at the
     unconstrained optimum.  Otherwise the spend rises with k = 1/(1+lambda)
     from 0 as k -> 0 to above the target at k = 1, so [0, 1] brackets the
     root: narrow k to adjacent floats by regula falsi on spend - target and
     return lambda = 1/lo - 1 for the largest k found whose spend is at most
-    the target, with that spend and the number of spend evaluations it
-    took.  ``note`` is set only when every utility sample is zero.
+    the target, with that spend and the number of spend evaluations it took.
     """
     if len(utility_samples) == 0:
         raise ValueError("utility_samples must be non-empty")
-    if num_requests < 1:
-        raise ValueError("num_requests must be >= 1")
-    target = budget / num_requests
+    target = budget / len(utility_samples)
     if not target > 0:
-        raise ValueError(f"budget / num_requests must be positive, got {target!r}")
+        raise ValueError(f"budget / len(utility_samples) must be positive, got {target!r}")
     samples = np.asarray(utility_samples, dtype=float)
-    if np.all(samples <= 0):
-        return LambdaSolution(0.0, 0.0, target, 0, note="all utility samples are zero")
     g0 = expected_spend_per_request(samples, model, 0.0)
     if g0 <= target:
         return LambdaSolution(0.0, g0, target, 0)

@@ -91,9 +91,9 @@ def test_criterion_5_lambda_solver():
         samples = rng.uniform(0.0, 2.0, 400)
         model = WinningFunctionModel(WinForm.SIMPLE, rng.uniform(0.5, 2.0))
         g0 = st.expected_spend_per_request(samples, model, 0.0)
-        budget, n = 0.15 * g0 * 100, 100
-        sol = st.solve_lambda(samples, model, budget, n)
-        sol_half = st.solve_lambda(samples, model, budget / 2, n)
+        budget = 0.15 * g0 * len(samples)
+        sol = st.solve_lambda(samples, model, budget)
+        sol_half = st.solve_lambda(samples, model, budget / 2)
         pacing = abs(sol.expected_spend_per_request - sol.target) <= 0.01 * sol.target
         ok = ok and pacing and sol_half.lam > sol.lam
         details.append(f"set{k}: pace {pacing}, lam {sol.lam:.3f}->{sol_half.lam:.3f}")

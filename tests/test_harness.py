@@ -1,7 +1,6 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,22 +185,6 @@ class TestRunExperiment:
             assert entry["estimator_grad_rel"] == fit.grad_rel <= 1e-6
             assert entry["estimator_converged"] is fit.converged is True
             assert "estimator_lr_used" not in entry
-
-    def test_calibration_report_lambda_note(self, tmp_path, monkeypatch):
-        cfg = small_config(out=str(tmp_path / "full"), train_fl=False)
-        full = json.loads(run_experiment(cfg).calibration_report.read_text())["agents"]
-        solve = experiment.solve_lambda
-
-        def noted(*args):
-            return replace(solve(*args), note="forced note")
-
-        monkeypatch.setattr(experiment, "solve_lambda", noted)
-        art = run_experiment(replace(cfg, output_dir=str(tmp_path / "short")))
-        report = json.loads(art.calibration_report.read_text())["agents"]
-        for name in ("fbs", "fbc"):
-            assert "lambda_note" not in full[name]
-            assert report[name]["lambda_note"] == "forced note"
-            assert report[name]["lambda_note"] == art.calibration[name].lambda_solution.note
 
 
 class TestCli:

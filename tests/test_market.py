@@ -7,6 +7,7 @@ from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
 
 from flmarket import estimator as est
+from flmarket import market
 from flmarket import strategies as st
 from flmarket.market import (
     ConsumerAgent,
@@ -408,6 +409,20 @@ class TestReferenceLoop:
         assert got["bids"][second_win + 1].tolist() == [pytest.approx(0.2), 0.5, 0.5]
         assert set(got["winner"][second_win + 1 :].tolist()) == {1, 2}
 
+    def test_tied_budgets_run_out(self, monkeypatch):
+        # five const agents tie at 0.5 on every row until their budgets run out, so
+        # the bound, which charges every tied bidder, cuts at every tie
+        pool = generate_do_pool(300, (1000, 10000), np.random.default_rng(15))
+        budgets = [0.5 * 300 / 5 * (0.5 + i / 5) for i in range(5)]
+        agents = [const_agent(f"c{i}", b, 0.5) for i, b in enumerate(budgets)]
+        tie_rngs, clear = [], market._clear
+        monkeypatch.setattr(market, "_clear", lambda *args: tie_rngs.append(args[3]) or clear(*args))
+        got = same_as_reference(agents, pool, 15)
+        want_rng = np.random.default_rng(15).spawn(2 + len(agents))[1]  # run_market's tie_rng
+        scalar_clear(np.full((300, 5), 0.5), budgets, [a.name for a in agents], want_rng)
+        assert tie_rngs[0].bit_generator.state == want_rng.bit_generator.state
+        assert np.all(np.isnan(got["bids"][-1]))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_six_strategies_within_predict_bound(self, seed):
         agents = random_agents(seed, tuple(Strategy))
@@ -456,6 +471,14 @@ class TestClear:
         for have, expected in zip(got, want):
             assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+    def test_budgets_that_never_bind_clear_in_one_segment(self, monkeypatch):
+        rows, live = [], market._live
+        monkeypatch.setattr(market, "_live", lambda raw, left: rows.append(len(raw)) or live(raw, left))
+        pool = generate_do_pool(1000, (1000, 10000), np.random.default_rng(16))
+        run_market([rand_agent(f"r{j}", 1e6) for j in range(6)], pool, np.random.default_rng(16))
+        assert rows == [1000, 1000]  # one segment: its clamp and its bound
 
 
 class TestMetrics:

@@ -267,18 +267,17 @@ class TestSolveLambda:
         return rng.uniform(0.0, 2.0, n)
 
     def test_non_binding_budget(self, rng):
-        sol = st.solve_lambda(self._samples(rng), simple(1.0), budget=1e6, num_requests=10)
+        sol = st.solve_lambda(self._samples(rng), simple(1.0), budget=1e6)
         assert sol.lam == 0.0
         assert sol.expected_spend_per_request <= sol.target
 
     def test_binding_budget_hits_target(self, rng):
         samples = self._samples(rng)
         g0 = st.expected_spend_per_request(samples, simple(1.0), 0.0)
-        budget = 0.1 * g0 * 100
-        sol = st.solve_lambda(samples, simple(1.0), budget, 100)
+        budget = 0.1 * g0 * len(samples)
+        sol = st.solve_lambda(samples, simple(1.0), budget)
         assert sol.lam > 0
         assert abs(sol.expected_spend_per_request - sol.target) <= 0.01 * sol.target
-        assert sol.note is None
 
     def test_bracket_collapses(self, rng, monkeypatch):
         brackets, narrow = [], st._regula_falsi
@@ -290,8 +289,8 @@ class TestSolveLambda:
         monkeypatch.setattr(st, "_regula_falsi", recorded)
         for form in (simple(0.8), complex_(0.8)):
             samples = self._samples(rng)
-            budget = 0.1 * st.expected_spend_per_request(samples, form, 0.0) * 100
-            sol = st.solve_lambda(samples, form, budget, 100)
+            budget = 0.1 * st.expected_spend_per_request(samples, form, 0.0) * len(samples)
+            sol = st.solve_lambda(samples, form, budget)
             lo, hi, _ = brackets[-1]
             assert hi == math.nextafter(lo, math.inf)
             assert sol.lam == 1.0 / lo - 1.0
@@ -301,8 +300,8 @@ class TestSolveLambda:
 
     def test_tiny_budget_paces_with_finite_lambda(self):
         # the root is lambda = 5e149, far past any fixed cap on a lambda bracket
-        sol = st.solve_lambda(np.ones(3), simple(1.0), 1e-300, 1)
-        assert math.isfinite(sol.lam) and sol.note is None
+        sol = st.solve_lambda(np.ones(3), simple(1.0), 3e-300)
+        assert math.isfinite(sol.lam)
         assert sol.expected_spend_per_request <= sol.target
         assert sol.expected_spend_per_request >= (1 - 1e-12) * sol.target
 
@@ -316,28 +315,27 @@ class TestSolveLambda:
         for _ in range(5):
             samples = self._samples(rng)
             g0 = st.expected_spend_per_request(samples, simple(1.2), 0.0)
-            budget = 0.2 * g0 * 50
-            lam_full = st.solve_lambda(samples, simple(1.2), budget, 50).lam
-            lam_half = st.solve_lambda(samples, simple(1.2), budget / 2, 50).lam
+            budget = 0.2 * g0 * len(samples)
+            lam_full = st.solve_lambda(samples, simple(1.2), budget).lam
+            lam_half = st.solve_lambda(samples, simple(1.2), budget / 2).lam
             assert lam_half > lam_full
 
     def test_all_zero_samples(self):
-        sol = st.solve_lambda(np.zeros(10), simple(1.0), 5.0, 10)
-        assert sol.lam == 0.0
-        assert sol.note is not None
+        sol = st.solve_lambda(np.zeros(10), simple(1.0), 5.0)
+        assert (sol.lam, sol.expected_spend_per_request, sol.target, sol.iterations) == (0.0, 0.0, 0.5, 0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            st.solve_lambda([], simple(1.0), 5.0, 10)
+            st.solve_lambda([], simple(1.0), 5.0)
         for budget in (-5.0, 0.0, math.nan, 5e-324):  # the last gives a target of 0
             with pytest.raises(ValueError):
-                st.solve_lambda([1.0], simple(1.0), budget, 10)
+                st.solve_lambda([1.0] * 10, simple(1.0), budget)
 
 
-def lambda_by_halving(samples, model, budget, num_requests):
+def lambda_by_halving(samples, model, budget):
     """The lambda that plain halving of k = 1/(1+lambda) on [0, 1] to adjacent
     floats finds, and its number of halvings."""
-    target, lo, hi, halvings = budget / num_requests, 0.0, 1.0, 0
+    target, lo, hi, halvings = budget / len(samples), 0.0, 1.0, 0
     while lo < (k := 0.5 * (lo + hi)) < hi:
         if st.expected_spend_per_request(samples, model, 1.0 / k - 1.0) <= target:
             lo = k
@@ -379,9 +377,9 @@ class TestRegulaFalsi:
             samples[0] = 1.0
             form = (simple, complex_)[i % 2](10.0 ** rng.uniform(-3, 1))
             g0 = st.expected_spend_per_request(samples, form, 0.0)
-            budget = 10.0 ** rng.uniform(-12, -1e-3) * g0 * 10
-            sol = st.solve_lambda(samples, form, budget, 10)
-            lam, halvings = lambda_by_halving(samples, form, budget, 10)
+            budget = 10.0 ** rng.uniform(-12, -1e-3) * g0 * n
+            sol = st.solve_lambda(samples, form, budget)
+            lam, halvings = lambda_by_halving(samples, form, budget)
             assert sol.lam == lam
             assert 0 < sol.iterations <= halvings
 
@@ -403,6 +401,45 @@ class TestRegulaFalsi:
         lo, hi, evaluations = st._regula_falsi(g, 0.0, 1.0, -0.3, 0.7)
         assert evaluations == len(calls) and not {0.0, 1.0} & set(calls)
         assert hi == math.nextafter(lo, math.inf) and g(lo) <= 0 < g(hi)
+
+    def test_exact_zero_ends_on_the_next_float(self):
+        # the chord of x - 0.5 on [0, 1] lands on 0.5; the float above it ends the search
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x - 0.5
+
+        assert st._regula_falsi(g, 0.0, 1.0, -0.5, 0.5) == (0.5, math.nextafter(0.5, 1.0), 2)
+        assert calls == [0.5, math.nextafter(0.5, 1.0)]
+
+    def test_zero_on_a_run_of_floats_doubles_the_step(self):
+        # g = 0 on [0.25, 0.75]: steps of 1, 2, 4, ... floats up from 0.5, then halving,
+        # not one step per float
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            assert len(calls) <= 2 * 53  # twice the 53 steps of plain halving
+            return min(x - 0.25, 0.0) + max(x - 0.75, 0.0)
+
+        lo, hi, evaluations = st._regula_falsi(g, 0.0, 1.0, -0.25, 0.25)
+        assert (lo, hi) == (0.75, math.nextafter(0.75, 1.0)) and evaluations == len(calls)
+        ulp = math.ulp(0.5)
+        assert calls[:4] == [0.5, 0.5 + ulp, 0.5 + 3 * ulp, 0.5 + 7 * ulp]
+
+    def test_oracle_steps_over_a_run_of_zeros(self, monkeypatch):
+        # at s = 1e-160 both terms of the complex form's f' are subnormal, so f' is
+        # exactly 0 on a run of floats around the optimum 2s/(3(1+lambda))
+        calls, foc = [], st.check_foc
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 2 * 53  # twice the 53 steps of plain halving
+            return foc(*args)
+
+        monkeypatch.setattr(st, "check_foc", counted)
+        assert st.oracle_optimal_bid(1e-160, complex_(1.0), 0.5) == pytest.approx(2e-160 / 4.5, rel=1e-3)
 
     def test_oracle_ends_on_adjacent_floats_across_a_sign_change(self):
         for s, c, lam in criterion_triples(500):
