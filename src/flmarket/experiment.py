@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,7 +140,11 @@ def build_market_agents(cfg: RunConfig, calibration: dict) -> list:
 def train_federated(
     cfg: RunConfig, pool: np.ndarray, result: MarketResult, rng: np.random.Generator
 ) -> dict:
-    """Per-agent FedAvg over won owners; returns agent -> test accuracy."""
+    """Per-agent FedAvg over won owners; returns agent -> test accuracy.
+
+    Owners train on one thread per available CPU; no output bit depends on
+    how many there are.
+    """
     centers_rng, shard_rng, test_rng = rng.spawn(3)
     centers = fltrain.make_class_centers(centers_rng)
     K = centers.shape[0]
@@ -152,31 +157,27 @@ def train_federated(
     test_labels = test_rng.integers(0, K, 2000)
     test_X = centers[test_labels] + test_rng.standard_normal((2000, centers.shape[1]))
 
-    accuracy = {}
-    for j, name in enumerate(result.agent_names):
-        won_ids = np.sort(result.outcomes["owner_id"][result.outcomes["winner"] == j]).tolist()
-        if not won_ids:
-            accuracy[name] = None
-            continue
-        updates = []
-        for oid in won_ids:
-            _, num_samples, blurred, local_seed = pool[oid - 1].tolist()
-            data = fltrain.synth_dataset(
-                num_samples,
-                blurred,
-                centers,
-                cfg.noise_rate_blurred,
-                np.random.default_rng(local_seed),
-                classes=class_support[oid - 1],
-            )
-            w = fltrain.local_train(
-                fltrain.zero_model(K, centers.shape[1]),
-                data,
-                local_epochs=cfg.local_epochs,
-            )
-            updates.append((w, num_samples))
-        accuracy[name] = fltrain.evaluate(fltrain.fedavg(updates), test_X, test_labels)
-    return accuracy
+    def train_owner(oid):
+        _, num_samples, blurred, local_seed = pool[oid - 1].tolist()
+        data = fltrain.synth_dataset(num_samples, blurred, centers, cfg.noise_rate_blurred,
+                                     np.random.default_rng(local_seed), classes=class_support[oid - 1])
+        w0 = fltrain.zero_model(K, centers.shape[1])
+        return fltrain.local_train(w0, data, local_epochs=cfg.local_epochs), num_samples
+
+    winner, owner_id = result.outcomes["winner"], result.outcomes["owner_id"]
+    won = [np.sort(owner_id[winner == j]).tolist() for j in range(len(result.agent_names))]
+    # each owner trains alone from the zero model, and numpy releases the GIL
+    # in its BLAS products and array loops: threads change no bit
+    import concurrent.futures  # here, off the CLI's import path
+
+    threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with concurrent.futures.ThreadPoolExecutor(threads) as executor:
+        updates = executor.map(train_owner, [oid for ids in won for oid in ids])
+        by_agent = [[next(updates) for _ in ids] for ids in won]
+    return {
+        name: fltrain.evaluate(fltrain.fedavg(ups), test_X, test_labels) if ups else None
+        for name, ups in zip(result.agent_names, by_agent)
+    }
 
 
 def _fmt(value) -> str:

@@ -22,8 +22,12 @@ CENTER_SPREAD = 1.5
 
 @dataclass
 class LocalDataset:
-    features: np.ndarray  # (n, d)
+    design: np.ndarray  # (n, d + 1): the features, then a bias column of ones
     labels: np.ndarray  # (n,) ints in [0, K)
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.design[:, :-1]
 
 
 def make_class_centers(
@@ -50,12 +54,15 @@ def synth_dataset(
     if classes is None:
         classes = np.arange(num_classes)
     labels = rng.choice(classes, size=num_samples)
-    features = centers[labels] + rng.standard_normal((num_samples, dim))
+    # noise + centers[labels] has the bits of centers[labels] + noise
+    design = np.ones((num_samples, dim + 1))
+    design[:, :dim] = rng.standard_normal((num_samples, dim))
+    design[:, :dim] += centers[labels]
     if blurred and noise_rate_blurred > 0:
         mask = rng.random(num_samples) < noise_rate_blurred
         labels = labels.copy()
         labels[mask] = rng.integers(0, num_classes, int(mask.sum()))
-    return LocalDataset(features=features, labels=labels)
+    return LocalDataset(design=design, labels=labels)
 
 
 def _augment(X: np.ndarray) -> np.ndarray:
@@ -116,7 +123,7 @@ def local_train(
     K = w.shape[0]
     if K > _PAIRWISE_BLOCK:
         raise ValueError(f"local_train supports at most {_PAIRWISE_BLOCK} classes, got {K}")
-    Xa = _augment(dataset.features)
+    Xa = dataset.design
     y = dataset.labels
     n = len(y)
     label_index = y * n + np.arange(n)
@@ -126,7 +133,8 @@ def local_train(
     P = np.empty((K, n))
     flat = P.reshape(-1)
     col = np.empty(n)
-    acc = np.empty((8, n)) if K >= 8 else None
+    # _class_sum's scratch rows: by_row is idle from the copy into P to the copy back
+    acc = by_row.reshape(-1)[: 8 * n].reshape(8, n) if K >= 8 else None
     for step in range(local_epochs):
         np.matmul(Xa, w.T, out=by_row)
         np.copyto(P, by_row.T)

@@ -1,12 +1,14 @@
 """What the config gate accepts, the program runs.
 
-Each config is run through ``cli.main`` without FL training.  It must
-exit 0, or exit 2 with one ``error:`` line: a config can still stop
-during the run, for example when an agent wins no bootstrap auction,
-but never with a traceback.
+Each config is run through ``cli.main``, most without FL training and a
+few with short local training on small owners.  It must exit 0, or exit
+2 with one ``error:`` line: a config can still stop during the run, for
+example when an agent wins no bootstrap auction, but never with a
+traceback.
 """
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -73,14 +75,46 @@ configs = hs.fixed_dictionaries(
 )
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(raw=configs)
-def test_every_accepted_config_runs(raw):
+def assert_runs_or_stops_with_one_error_line(raw):
     status, err, _ = run_cli(raw)
     assert status in (0, 2), err
     if status == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=configs)
+def test_every_accepted_config_runs(raw):
+    assert_runs_or_stops_with_one_error_line(raw)
+
+
+# FL trains every won owner, so these keep owners small and training short
+fl_configs = hs.tuples(
+    configs, hs.integers(1, 3), hs.lists(hs.integers(1, 2000), min_size=2, max_size=2).map(sorted)
+).map(lambda t: {**t[0], "train_fl": True, "local_epochs": t[1], "sample_range": t[2]})
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=fl_configs)
+def test_every_accepted_config_runs_with_fl(raw):
+    assert_runs_or_stops_with_one_error_line(raw)
+
+
+def test_fl_with_an_agent_that_wins_no_owner(tmp_path):
+    # a1 never runs out of budget and outbids a0's bid, capped at its tiny budget
+    raw = {"master_seed": 1, "pool_size": 12, "sample_range": [100, 300], "local_epochs": 2,
+           "agents": [{"name": "a0", "strategy": "const", "budget": 1e-4},
+                      {"name": "a1", "strategy": "rand", "budget": 1e6}]}
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 0
+    with open(tmp_path / "out" / "summary_seed1.csv") as fh:
+        rows = {row["agent"]: row for row in csv.DictReader(fh)}
+    assert rows["a0"]["total_samples"] == "0" and rows["a0"]["accuracy_iid"] == ""
+    assert 0.0 < float(rows["a1"]["accuracy_iid"]) <= 1.0
 
 
 def test_one_size_for_every_owner_runs():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,15 @@ from flmarket.market import MarketResult, generate_do_pool, outcome_dtype
 
 from conftest import cross_entropy, cross_entropy_gradient
 
-SYNTH_DATASET = fltrain.synth_dataset  # the unpatched one, while a test spies on it
+# the unpatched ones, while a test spies on them
+SYNTH_DATASET, LOCAL_TRAIN, FEDAVG = fltrain.synth_dataset, fltrain.local_train, fltrain.fedavg
 
 
 def blobs(rng, n=400, spread=4.0, num_classes=4, dim=3):
     centers = rng.normal(scale=spread, size=(num_classes, dim))
     y = rng.integers(0, num_classes, n)
     X = centers[y] + rng.standard_normal((n, dim))
-    return LocalDataset(X, y), centers
+    return LocalDataset(fltrain._augment(X), y), centers
 
 
 class TestSynthDataset:
@@ -45,6 +47,17 @@ class TestSynthDataset:
         b = fltrain.synth_dataset(2000, True, centers, 0.4, np.random.default_rng(7))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("blurred,classes", [(False, None), (True, None), (True, [2, 7])])
+    def test_features_pinned_to_the_draws(self, blurred, classes):
+        # labels, then (n, d) noise from the same generator, added to the centers
+        centers = fltrain.make_class_centers(np.random.default_rng(0))
+        classes = None if classes is None else np.array(classes)
+        data = fltrain.synth_dataset(700, blurred, centers, 0.4, np.random.default_rng(5), classes)
+        rng = np.random.default_rng(5)
+        labels = rng.choice(np.arange(10) if classes is None else classes, size=700)
+        np.testing.assert_array_equal(data.features, centers[labels] + rng.standard_normal((700, 8)))
+        assert data.design.shape == (700, 9) and np.all(data.design[:, -1] == 1.0)
 
     def test_shard_restriction(self):
         centers = fltrain.make_class_centers(np.random.default_rng(0))
@@ -97,6 +110,115 @@ class TestPartitionMode:
         centers = fltrain.make_class_centers(np.random.default_rng(0))
         data = fltrain.synth_dataset(1000, False, centers, 0.0, np.random.default_rng(4))
         assert len(np.unique(data.labels)) == fltrain.NUM_CLASSES
+
+
+def sequential_train_federated(cfg, pool, result, rng):
+    """The one-owner-at-a-time loop that train_federated must match: agent ->
+    (accuracy, its owners' (weights, num_samples) in won-id order)."""
+    centers_rng, shard_rng, test_rng = rng.spawn(3)
+    centers = fltrain.make_class_centers(centers_rng)
+    K, d = centers.shape
+    niid = cfg.partition == "niid"
+    class_support = [
+        np.sort(shard_rng.choice(K, cfg.shards_per_owner, replace=False)) if niid else None
+        for _ in range(len(pool))
+    ]
+    test_labels = test_rng.integers(0, K, 2000)
+    test_X = centers[test_labels] + test_rng.standard_normal((2000, d))
+    out = {}
+    for j, name in enumerate(result.agent_names):
+        updates = []
+        for oid in np.sort(result.outcomes["owner_id"][result.outcomes["winner"] == j]).tolist():
+            _, n, blurred, seed = pool[oid - 1].tolist()
+            data = SYNTH_DATASET(n, blurred, centers, cfg.noise_rate_blurred,
+                                 np.random.default_rng(seed), classes=class_support[oid - 1])
+            updates.append((LOCAL_TRAIN(fltrain.zero_model(K, d), data, local_epochs=cfg.local_epochs), n))
+        accuracy = fltrain.evaluate(FEDAVG(updates), test_X, test_labels) if updates else None
+        out[name] = accuracy, updates
+    return out
+
+
+class TestTrainFederated:
+    """Owners train on a thread pool with the bits of the sequential loop."""
+
+    @staticmethod
+    def market(partition="iid"):
+        """16 owners auctioned out of id order: a and b win five or six each, c
+        wins none and five go unsold."""
+        cfg = config_from_mapping({"master_seed": 3, "pool_size": 16, "sample_range": [50, 400],
+                                   "local_epochs": 5, "partition": partition})
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(8))
+        outcomes = np.zeros(len(pool), outcome_dtype(3))
+        outcomes["owner_id"] = np.random.default_rng(9).permutation(pool["id"])
+        outcomes["winner"] = np.array([0, 1, -1])[np.arange(len(pool)) % 3]
+        return cfg, pool, MarketResult(["a", "b", "c"], outcomes)
+
+    def assert_matches_sequential(self, monkeypatch, partition):
+        cfg, pool, result = self.market(partition)
+        averaged = []
+
+        def spy(updates):
+            averaged.append(updates)
+            return FEDAVG(updates)
+
+        monkeypatch.setattr(fltrain, "fedavg", spy)
+        accuracy = train_federated(cfg, pool, result, np.random.default_rng(2))
+        expected = sequential_train_federated(cfg, pool, result, np.random.default_rng(2))
+        assert accuracy == {name: acc for name, (acc, _) in expected.items()}
+        assert accuracy["c"] is None
+        reference = [updates for _, updates in expected.values() if updates]
+        assert len(averaged) == len(reference) == 2
+        for got, want in zip(averaged, reference):
+            assert [n for _, n in got] == [n for _, n in want]
+            for (w, _), (v, _) in zip(got, want):
+                np.testing.assert_array_equal(w, v)
+
+    @pytest.mark.parametrize("partition", ["iid", "niid"])
+    def test_same_bits_as_the_sequential_loop(self, monkeypatch, partition):
+        self.assert_matches_sequential(monkeypatch, partition)
+
+    @pytest.mark.parametrize("partition", ["iid", "niid"])
+    def test_same_bits_on_one_cpu(self, monkeypatch, partition):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        workers = set()
+
+        def spy(*args, **kwargs):
+            workers.add(threading.get_ident())
+            return LOCAL_TRAIN(*args, **kwargs)
+
+        monkeypatch.setattr(fltrain, "local_train", spy)
+        self.assert_matches_sequential(monkeypatch, partition)
+        assert len(workers) == 1 and threading.get_ident() not in workers
+
+    def test_same_bits_with_more_threads_than_cores(self, monkeypatch):
+        # eight threads switching every microsecond on however many cores there are
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_matches_sequential(monkeypatch, "niid")
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_owner_error_reaches_the_caller(self, monkeypatch):
+        cfg, pool, result = self.market()
+        failing_size = int(pool["num_samples"][result.outcomes["owner_id"][0] - 1])
+
+        def local_train(weights, dataset, local_epochs):
+            if len(dataset.labels) == failing_size:
+                raise FloatingPointError("non-finite weights at local step 0")
+            return LOCAL_TRAIN(weights, dataset, local_epochs=local_epochs)
+
+        monkeypatch.setattr(fltrain, "local_train", local_train)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="local step 0"):
+            train_federated(cfg, pool, result, np.random.default_rng(2))
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_run(self):
+        before = threading.active_count()
+        train_federated(*self.market(), np.random.default_rng(2))
+        assert threading.active_count() == before
 
 
 class TestLocalTrain:

@@ -448,3 +448,23 @@ class TestRegulaFalsi:
                 b = st.oracle_optimal_bid(s, model, lam)
                 above = math.nextafter(b, math.inf)
                 assert st.check_foc(s, b, model, lam) >= 0 > st.check_foc(s, above, model, lam)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-300, 1e-310])
+    def test_oracle_where_f_prime_underflows_on_the_whole_bracket(self, s):
+        # f' is 0 at both ends, so the chord is 0/0; every bid is optimal in floats
+        assert 0.0 <= st.oracle_optimal_bid(s, complex_(1.0), 0.5) <= s / 1.5
+
+    @pytest.mark.parametrize("power", [2, 3])
+    @pytest.mark.parametrize("target", [1e-6, 1e-11, 1e-15])
+    def test_tiny_target_does_not_creep(self, power, target):
+        # from lo = 0 the chord lands near the target and then doubles k per step
+        # (35 and 48 evaluations at power 3, targets 1e-11 and 1e-15, before the
+        # geometric halving); halving alone takes 59-77
+        def g(k):
+            return k**power - target
+
+        lo, hi, evaluations = st._regula_falsi(g, 0.0, 1.0, -target, 1.0 - target)
+        a, b = 0.0, 1.0
+        while a < (k := 0.5 * (a + b)) < b:
+            a, b = (k, b) if g(k) <= 0 else (a, k)
+        assert (lo, hi) == (a, b) and evaluations <= 30
