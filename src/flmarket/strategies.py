@@ -14,14 +14,13 @@ the shadow price of its budget constraint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .winmodel import WinForm, WinningFunctionModel, win_prob, win_prob_derivative
+from .winmodel import WinForm, WinningFunctionModel, _regula_falsi, win_prob, win_prob_derivative
 
 
 class Strategy(str, Enum):
@@ -138,43 +137,6 @@ def check_foc(s: float, b: float, model: WinningFunctionModel, lam: float) -> fl
     return (s - (lam + 1.0) * b) * win_prob_derivative(model, b) - (
         lam + 1.0
     ) * win_prob(model, b)
-
-
-def _regula_falsi(g, lo: float, hi: float, g_lo: float, g_hi: float) -> tuple:
-    """Shrink [lo, hi], given g(lo) = ``g_lo`` <= 0 < ``g_hi`` = g(hi), to adjacent floats.
-
-    Illinois regula falsi (Dowell & Jarratt 1971, BIT 11): step to the chord's
-    zero, halving the value kept at an end that two steps in a row leave in
-    place.  When the chord's zero rounds onto the end that just moved (g is 0
-    there to rounding), step one float inward instead, then twice as far for
-    each further such step, up to the midpoint.  Halve the bracket when the
-    chord's zero is not strictly inside or the chord is undefined (g is 0 at
-    both ends, as when it underflows).  After four steps in a row that have
-    not halved the bracket, step to its geometric mean: a tiny target makes
-    the chord creep up from ``lo`` by doublings.  Stops when no float lies
-    strictly inside.  Where the computed g is monotone, ``lo`` is the largest
-    float with g(lo) <= 0, where halving ends too.  Returns
-    ``(lo, hi, evaluations)``.
-    """
-    evaluations, side, step, slow = 0, 0, 0.0, 0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        chord = float(lo + (hi - lo) * (g_lo / (g_lo - g_hi))) if g_lo < g_hi else mid
-        if side < 0 and chord <= lo or side > 0 and chord >= hi:
-            step = 2 * step if step else float(np.spacing(lo if side < 0 else hi))
-            x = min(lo + step, mid) if side < 0 else max(hi - step, mid)
-        else:
-            step = 0.0
-            x = chord if slow < 4 else math.sqrt(lo) * math.sqrt(hi) if lo > 0 else mid
-            x = x if lo < x < hi else mid
-        gx = g(x)
-        evaluations += 1
-        if gx <= 0:
-            slow = 0 if x >= mid else slow + 1
-            lo, g_lo, g_hi, side = x, gx, g_hi * (0.5 if side < 0 else 1.0), -1
-        else:
-            slow = 0 if x <= mid else slow + 1
-            hi, g_hi, g_lo, side = x, gx, g_lo * (0.5 if side > 0 else 1.0), 1
-    return lo, hi, evaluations
 
 
 def oracle_optimal_bid(s: float, model: WinningFunctionModel, lam: float) -> float:

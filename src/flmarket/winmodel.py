@@ -7,9 +7,11 @@ its own bid.  Two one-parameter families are supported:
 * ``complex``: W(b) = b^2 / (c^2 + b^2)
 
 Both satisfy W(0) = 0, W(c) = 0.5 and sup W = 1.  The constant ``c`` is
-calibrated against an empirical win-rate curve built from the consumer's
-past bids and whether each one won.  The curve is three equal-length
-arrays, ``(mid_bid, win_rate, count)``, one entry per non-empty bid bucket.
+fitted by least squares to an empirical win-rate curve built from the
+consumer's past bids and whether each one won, with ``_regula_falsi``, the
+root finder that the lambda solve and the oracle in ``strategies`` share.
+The curve is three equal-length arrays, ``(mid_bid, win_rate, count)``, one
+entry per non-empty bid bucket.
 """
 
 from __future__ import annotations
@@ -89,26 +91,44 @@ def empirical_win_curve(bids, won, num_buckets: int = 20) -> tuple:
     return mid_bid[keep], won_count[keep] / count[keep], count[keep]
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 C_MIN = 1e-4  # lower end of the bracket calibrate_c searches
-C_TOL = 1e-6  # bracket width at which its golden-section search stops
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = C_TOL) -> float:
-    """Minimize a unimodal f on [lo, hi]; returns the midpoint of the final bracket."""
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
+def _regula_falsi(g, lo: float, hi: float, g_lo: float, g_hi: float) -> tuple:
+    """Shrink [lo, hi], given g(lo) = ``g_lo`` <= 0 < ``g_hi`` = g(hi), to adjacent floats.
+
+    Illinois regula falsi (Dowell & Jarratt 1971, BIT 11): step to the chord's
+    zero, halving the value kept at an end that two steps in a row leave in
+    place.  When the chord's zero rounds onto the end that just moved (g is 0
+    there to rounding), step one float inward instead, then twice as far for
+    each further such step, up to the midpoint.  Halve the bracket when the
+    chord's zero is not strictly inside or the chord is undefined (g is 0 at
+    both ends, as when it underflows).  After four steps in a row that have
+    not halved the bracket, step to its geometric mean: a tiny target makes
+    the chord creep up from ``lo`` by doublings.  Stops when no float lies
+    strictly inside.  Where the computed g is monotone, ``lo`` is the largest
+    float with g(lo) <= 0, where halving ends too.  Returns
+    ``(lo, hi, evaluations)``.
+    """
+    evaluations, side, step, slow = 0, 0, 0.0, 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        chord = float(lo + (hi - lo) * (g_lo / (g_lo - g_hi))) if g_lo < g_hi else mid
+        if side < 0 and chord <= lo or side > 0 and chord >= hi:
+            step = 2 * step if step else float(np.spacing(lo if side < 0 else hi))
+            x = min(lo + step, mid) if side < 0 else max(hi - step, mid)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
+            step = 0.0
+            x = chord if slow < 4 else math.sqrt(lo) * math.sqrt(hi) if lo > 0 else mid
+            x = x if lo < x < hi else mid
+        gx = g(x)
+        evaluations += 1
+        if gx <= 0:
+            slow = 0 if x >= mid else slow + 1
+            lo, g_lo, g_hi, side = x, gx, g_hi * (0.5 if side < 0 else 1.0), -1
+        else:
+            slow = 0 if x <= mid else slow + 1
+            hi, g_hi, g_lo, side = x, gx, g_lo * (0.5 if side > 0 else 1.0), 1
+    return lo, hi, evaluations
 
 
 def calibration_objective(curve: tuple, form: WinForm, c: float) -> float:
@@ -118,27 +138,33 @@ def calibration_objective(curve: tuple, form: WinForm, c: float) -> float:
     return float(np.sum(count * (win_prob(model, mid_bid) - win_rate) ** 2))
 
 
+def calibration_slope(curve: tuple, form: WinForm, c: float) -> float:
+    """d/dc of ``calibration_objective``: 2 sum count (W - rate) dW/dc, where dW/dc
+    is -W/(c+b) for the simple form and -2cW/(c^2+b^2) for the complex one."""
+    b, rate, count = curve
+    w = win_prob(WinningFunctionModel(form, c), b)
+    dw = -w / (c + b) if form is WinForm.SIMPLE else -2.0 * c * w / (c * c + b * b)
+    return float(2.0 * np.sum(count * (w - rate) * dw))
+
+
 def c_bracket(curve: tuple) -> tuple:
     """The interval calibrate_c searches for c: [C_MIN, 10 * max bucket bid]."""
     return C_MIN, 10.0 * float(np.max(curve[0]))
 
 
 def at_bracket_edge(curve: tuple, c: float) -> bool:
-    """Whether c lies within C_TOL of an end of ``c_bracket(curve)``.
-
-    There the objective's minimum may lie outside the bracket, so c is a
-    bound on the best fit rather than the fit itself.
-    """
-    lo, hi = c_bracket(curve)
-    return min(c - lo, hi - c) <= C_TOL
+    """Whether c is an end of ``c_bracket(curve)``: the slope does not change sign
+    inside it, so c is a bound on the best fit rather than the fit itself."""
+    return c in c_bracket(curve)
 
 
 def calibrate_c(curve: tuple, form: WinForm) -> float:
     """Fit the constant c by count-weighted least squares on the empirical curve.
 
     ``curve`` is the ``(mid_bid, win_rate, count)`` arrays of
-    ``empirical_win_curve``.  Golden-section search on c in
-    ``c_bracket(curve)``.
+    ``empirical_win_curve``.  The largest c where ``calibration_slope`` is <= 0,
+    narrowed to adjacent floats in ``c_bracket(curve)``, or an end of it where
+    the slope does not change sign inside.
     """
     mid_bid, win_rate, _ = curve
     if len(mid_bid) < 2:
@@ -147,4 +173,10 @@ def calibrate_c(curve: tuple, form: WinForm) -> float:
         raise InsufficientDataError(
             "degenerate win curve (all rates 0 or 1); widen bid exploration"
         )
-    return _golden_section(lambda c: calibration_objective(curve, form, c), *c_bracket(curve))
+    slope = lambda c: calibration_slope(curve, form, c)
+    lo, hi = c_bracket(curve)
+    if (g_lo := slope(lo)) > 0:
+        return lo
+    if (g_hi := slope(hi)) <= 0:
+        return hi
+    return _regula_falsi(slope, lo, hi, g_lo, g_hi)[0]

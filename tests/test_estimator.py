@@ -27,9 +27,10 @@ class TestPredict:
         assert est.predict(theta, q) == pytest.approx(1.0)
 
     def test_clamp_floor(self):
-        theta = np.array([-0.999999, 0.0, 0.0])
+        # 1 + theta.q = 1e-7 lies below the documented floor of 1e-6
+        theta = np.array([-0.9999999, 0.0, 0.0])
         q = np.array([1.0, 0.5, 0.5])
-        assert est.predict(theta, q) == pytest.approx(math.log(est.CLAMP_EPS))
+        assert est.predict(theta, q) == pytest.approx(math.log(1e-6))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -109,6 +109,9 @@ class TestWinCurve:
             bids[0] = bids.max()  # the top bid twice
             width = bids.max() / num_buckets
             bids = np.where(bids < width, bids + width, bids)  # bucket 0 empty
+            # a bid on each inner edge belongs to the bucket above it
+            edges = np.linspace(0.0, bids.max(), num_buckets + 1)
+            bids, n = np.concatenate([bids, edges[1:-1]]), n + num_buckets - 1
             won = rng.random(n) < 0.4
             curve = wm.empirical_win_curve(bids, won, num_buckets)
             for got, want in zip(curve, reference_curve(bids, won, num_buckets)):
@@ -134,6 +137,16 @@ def monte_carlo_curve(form, c_star, n, rng):
     bids = rng.uniform(0.0, 5.0 * c_star, n)
     wins = rng.random(n) < wm.win_prob(model, bids)
     return wm.empirical_win_curve(bids, wins, 20)
+
+
+def calibration_curves():
+    """(form, curve) of TestCalibration's recoveries and of acceptance criterion 6."""
+    out = [(form, exact_curve(form, 2.3)) for form in WinForm]
+    for form, c_star, seeds in ((WinForm.SIMPLE, 2.0, [11]), (WinForm.COMPLEX, 1.5, [12])):
+        for seed in seeds + list(range(600, 610)):
+            rng = np.random.default_rng(seed)
+            out.append((form, monte_carlo_curve(form, c_star, 10_000, rng)))
+    return out
 
 
 class TestCalibration:
@@ -169,8 +182,27 @@ class TestCalibration:
         assert wm.c_bracket(curve) == (1e-4, 50.0)
         c = wm.calibrate_c(curve, form)
         assert wm.at_bracket_edge(curve, c) is edge
-        if not edge:
+        if edge:
+            assert c == (50.0 if c_true > 50.0 else 1e-4)
+        else:
             assert c == pytest.approx(c_true, abs=1e-4)
+
+    @pytest.mark.parametrize("form", list(WinForm))
+    def test_slope_matches_finite_difference(self, form, rng):
+        curve = monte_carlo_curve(form, 1.8, 5_000, rng)
+        for c in rng.uniform(1e-2, 20.0, 50):
+            h = 1e-6 * c
+            up, down = (wm.calibration_objective(curve, form, c + d) for d in (h, -h))
+            fd = (up - down) / (2 * h)
+            assert wm.calibration_slope(curve, form, c) == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+    def test_c_ends_on_the_slope_sign_change(self):
+        # c is the largest float in the bracket where the slope is <= 0
+        for form, curve in calibration_curves():
+            c = wm.calibrate_c(curve, form)
+            assert not wm.at_bracket_edge(curve, c)
+            above = np.nextafter(c, np.inf)
+            assert wm.calibration_slope(curve, form, c) <= 0 < wm.calibration_slope(curve, form, above)
 
     @pytest.mark.parametrize("form", list(WinForm))
     def test_objective_matches_per_bucket_sum(self, form, rng):
