@@ -73,37 +73,6 @@ def zero_model(num_classes: int = NUM_CLASSES, dim: int = FEATURE_DIM) -> np.nda
     return np.zeros((num_classes, dim + 1))
 
 
-# numpy's pairwise sum adds up to this many terms in one block and splits
-# longer sums in halves, which _class_sum does not mirror
-_PAIRWISE_BLOCK = 128
-
-
-def _class_sum(E: np.ndarray, out: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Write the sum of the K rows of ``E`` (K, n) into ``out``.
-
-    The result has the bits of numpy's pairwise ``E.T.sum(axis=1)``: the
-    rows in turn below 8; from 8 on, the eight rows of ``acc`` (8, n) sum
-    blocks of 8, are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
-    the leftover rows are added in turn.
-    """
-    K = E.shape[0]
-    if K < 8:
-        np.copyto(out, E[0])
-        for k in range(1, K):
-            out += E[k]
-        return out
-    stop = K - K % 8
-    np.copyto(acc, E[:8])
-    for i in range(8, stop, 8):
-        acc += E[i : i + 8]
-    acc[::2] += acc[1::2]
-    acc[::4] += acc[2::4]
-    np.add(acc[0], acc[4], out=out)
-    for k in range(stop, K):
-        out += E[k]
-    return out
-
-
 def local_train(
     weights: np.ndarray,
     dataset: LocalDataset,
@@ -115,14 +84,12 @@ def local_train(
     Each step is ``w = w - lr * (softmax(Xa w^T) - onehot(y))^T Xa / n``
     with Xa the features augmented by a bias column.  The softmax runs on
     a class-major (K, n) buffer, a few contiguous length-n operations per
-    step, and its normaliser adds the K rows in numpy's pairwise order
-    (``_class_sum``), so the weights equal the ``cross_entropy_gradient``
-    loop bit for bit.  Buffers are built once per call; K is at most 128.
+    step, and its normaliser adds the K classes in index order, so the
+    weights equal the ``cross_entropy_gradient`` loop bit for bit.  Buffers
+    are built once per call; any number of classes works.
     """
     w = weights.copy()
     K = w.shape[0]
-    if K > _PAIRWISE_BLOCK:
-        raise ValueError(f"local_train supports at most {_PAIRWISE_BLOCK} classes, got {K}")
     Xa = dataset.design
     y = dataset.labels
     n = len(y)
@@ -133,8 +100,6 @@ def local_train(
     P = np.empty((K, n))
     flat = P.reshape(-1)
     col = np.empty(n)
-    # _class_sum's scratch rows: by_row is idle from the copy into P to the copy back
-    acc = by_row.reshape(-1)[: 8 * n].reshape(8, n) if K >= 8 else None
     for step in range(local_epochs):
         np.matmul(Xa, w.T, out=by_row)
         np.copyto(P, by_row.T)
@@ -142,7 +107,11 @@ def local_train(
         np.max(P, axis=0, out=col)
         P -= col
         np.exp(P, out=P)
-        P /= _class_sum(P, col, acc)
+        # classes in index order; np.sum(P, axis=0) goes pairwise when n == 1
+        np.copyto(col, P[0])
+        for k in range(1, K):
+            col += P[k]
+        P /= col
         np.subtract.at(flat, label_index, 1.0)
         np.copyto(by_row, P.T)
         w = w - lr * (by_row.T @ Xa / n)

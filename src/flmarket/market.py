@@ -129,8 +129,8 @@ def _clear(raw: np.ndarray, budgets: Sequence[float], names: Sequence[str],
     first row.  No agent pays more than if every top bidder of each row paid
     its bid, so the segment keeps the rows before the first one whose clamped
     bids that bound would change: they clear as one row at a time would.  Their
-    ties then draw one ``tie_rng`` integer each, in row order, and their winners
-    pay left to right, so the budgets have the bits of one subtraction per win.
+    ties then draw one ``tie_rng`` integer each, in row order, and ``subtract.at``
+    takes each winner's price from its budget in row order: one subtraction per win.
     """
     n, m = raw.shape
     by_name = np.array(sorted(range(m), key=names.__getitem__))  # tie order
@@ -157,10 +157,7 @@ def _clear(raw: np.ndarray, budgets: Sequence[float], names: Sequence[str],
         # each tie goes to its picks-th top bid in name order
         won[ties] = by_name[(top[ties].cumsum(axis=1) > picks[:, None]).argmax(axis=1)]
         sold = np.flatnonzero(won >= 0)
-        steps = np.zeros((kept + 1, m))
-        steps[0] = left
-        steps[sold + 1, won[sold]] = best[sold]
-        left = np.subtract.accumulate(steps, axis=0)[-1]
+        np.subtract.at(left, won[sold], best[sold])
         end = start + kept
         bids[start:end], winner[start:end], price[start:end] = live[:kept], won, best
         start = end

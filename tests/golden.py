@@ -5,7 +5,8 @@ a fixed set of runs, and the paper's table over them.
     python3 tests/golden.py           # print the current outputs as JSON
 
 The set is seeds 0-9 at budgets 50, 150 and 300 without FL, pool_size
-1,000 at seed 4 without FL, and two FL runs: seed 5 iid and seed 6 niid.
+1,000 at seed 4 without FL, and three FL runs: seed 5 iid, seed 6 niid, and
+seed 7 niid with one class per owner and three local epochs.
 It runs in one child process pinned to OpenBLAS's SSE3 (Prescott) kernels
 on one thread and to numpy's baseline (X86_V2) SIMD loops, so the bytes
 depend on the numpy and OpenBLAS builds and not on the CPU.  The config
@@ -49,6 +50,9 @@ def runs() -> dict:
     out["pool1000_seed4"] = dict(master_seed=4, pool_size=1000, train_fl=False)
     out["fl_iid_seed5"] = dict(master_seed=5, partition="iid")
     out["fl_niid_seed6"] = dict(master_seed=6, partition="niid")
+    # the FL edge: one class per owner, three local steps
+    out["fl_niid_shard1_seed7"] = dict(master_seed=7, partition="niid", shards_per_owner=1,
+                                       local_epochs=3)
     return out
 
 

@@ -46,6 +46,10 @@ MUTANTS = [
     Mutant("clamp_eps", "src/flmarket/estimator.py", "CLAMP_EPS = 1e-6", "CLAMP_EPS = 2e-6"),
     Mutant("no_reserve_winner", "src/flmarket/market.py",
            "won[best == 0] = -1", "won[best < 0] = -1"),
+    Mutant("ledger_bincount", "src/flmarket/market.py",
+           "np.subtract.at(left, won[sold], best[sold])",
+           "left -= np.bincount(won[sold], weights=best[sold], minlength=m)"),
+    Mutant("class_order_reversed", "src/flmarket/fltrain.py", "col += P[k]", "col += P[K - k]"),
     Mutant("regula_falsi_slow", "src/flmarket/winmodel.py", "slow < 4", "slow < 6"),
     Mutant("digitize_right", "src/flmarket/winmodel.py",
            "np.digitize(bids, edges[1:-1])", "np.digitize(bids, edges[1:-1], right=True)"),
