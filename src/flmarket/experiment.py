@@ -1,10 +1,10 @@
 """Two-phase experiment protocol and artifact emission.
 
-Phase 1 (bootstrap): warm-up markets where every agent bids uniformly
-at random build one auction history that all consumers share.  Consumers
-that need utility estimates fit theta on the records they won;
-closed-form consumers additionally calibrate their win model and solve
-the budget multiplier.
+Phase 1 (bootstrap): one pass of ``market.random_bid_history`` draws the
+warm-up markets, where every agent bids uniformly at random, as one auction
+history that all consumers share.  Consumers that need utility estimates fit
+theta on the records they won; closed-form consumers also calibrate their
+win model and solve the budget multiplier.
 
 Phase 2 (market): the competitive market runs once over the pool, then
 each consumer trains a FedAvg model on the owners it won.
@@ -33,11 +33,11 @@ from .market import (
     MarketResult,
     compute_metrics,
     generate_do_pool,
-    outcome_dtype,
+    random_bid_history,
     request_features,
     run_market,
 )
-from .strategies import NEEDS_THETA, WIN_FORM, LambdaSolution, Strategy, solve_lambda
+from .strategies import NEEDS_THETA, WIN_FORM, LambdaSolution, solve_lambda
 from .winmodel import (
     InsufficientDataError,
     WinningFunctionModel,
@@ -81,12 +81,8 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
     ``history["winner"] == j``.  The rounds repeat the pool, so theta is fitted
     on the owners an agent won, weighted by win count, and lambda paces over the pool.
     """
-    names = [a.name for a in cfg.agents]
     n = len(pool)
-    boot_agents = [ConsumerAgent(name=name, strategy=Strategy.RAND, budget=math.inf) for name in names]
-    history = np.empty(cfg.bootstrap_rounds * n, outcome_dtype(len(names)))
-    for r in range(cfg.bootstrap_rounds):
-        history[r * n : (r + 1) * n] = run_market(boot_agents, pool, rng.spawn(1)[0]).outcomes
+    history = random_bid_history([a.name for a in cfg.agents], pool, rng, cfg.bootstrap_rounds)
     Q = request_features(pool["id"], pool["num_samples"], n)
     utility = estimator.true_utility(pool["num_samples"], pool["blurred"])
 

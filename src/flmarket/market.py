@@ -80,16 +80,15 @@ class AgentMetrics:
 def generate_do_pool(pool_size: int, sample_range: tuple, rng: np.random.Generator) -> np.ndarray:
     """The owner pool as ``POOL_DTYPE`` rows with ids 1..pool_size in row order.
 
-    Sizes are uniform in sample_range and the first half is blurred.  The
-    config checks pool_size >= 2 and 1 <= min <= max <= 2**63 - 1.
+    Sizes are uniform in sample_range and the first half is blurred.  One bounded
+    draw takes each owner's size and then its seed, in row order, as scalar calls
+    would.  The config checks pool_size >= 2 and 1 <= min <= max <= 2**63 - 1.
     """
     lo, hi = sample_range
     pool = np.zeros(pool_size, POOL_DTYPE)
     pool["id"] = np.arange(1, pool_size + 1)
     pool["blurred"][: math.ceil(pool_size / 2)] = True
-    # two scalar draws per owner, size then seed: every output depends on this order
-    draws = [(rng.integers(lo, hi + 1), rng.integers(0, 2**31 - 1)) for _ in range(pool_size)]
-    pool["num_samples"], pool["local_seed"] = np.array(draws, dtype=np.int64).T
+    pool["num_samples"], pool["local_seed"] = rng.integers([lo, 0], [hi + 1, 2**31 - 1], size=(pool_size, 2)).T
     return pool
 
 
@@ -121,6 +120,20 @@ def _live(raw: np.ndarray, remaining: np.ndarray) -> np.ndarray:
     return np.where(remaining > 0, np.minimum(raw, remaining), np.nan)
 
 
+def _winners(best: np.ndarray, top: np.ndarray, names: Sequence[str], tie_rng_of) -> np.ndarray:
+    """Each row's winner: its first top bid in name order, or -1 where ``best`` is 0; a tied
+    row goes to the top bid in name order that ``tie_rng_of(row)`` draws, in row order."""
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__))
+    top = top[:, by_name]
+    won = by_name[top.argmax(axis=1)]
+    won[best == 0] = -1
+    counts = top.sum(axis=1)
+    ties = np.flatnonzero(counts > 1)
+    picks = [tie_rng_of(i).integers(k) for i, k in zip(ties.tolist(), counts[ties].tolist())]
+    won[ties] = by_name[(top[ties].cumsum(axis=1) > np.array(picks, np.int64)[:, None]).argmax(axis=1)]
+    return won
+
+
 def _clear(raw: np.ndarray, budgets: Sequence[float], names: Sequence[str],
            tie_rng: np.random.Generator):
     """Clear the rows of ``raw`` in auction order: (clamped bids, winner, price) per row.
@@ -128,12 +141,10 @@ def _clear(raw: np.ndarray, budgets: Sequence[float], names: Sequence[str],
     Each segment clamps every row still to clear to the budgets left at its
     first row.  No agent pays more than if every top bidder of each row paid
     its bid, so the segment keeps the rows before the first one whose clamped
-    bids that bound would change: they clear as one row at a time would.  Their
-    ties then draw one ``tie_rng`` integer each, in row order, and ``subtract.at``
-    takes each winner's price from its budget in row order: one subtraction per win.
+    bids that bound would change: they clear as one row at a time would, and
+    ``subtract.at`` takes each winner's price from its budget in row order.
     """
     n, m = raw.shape
-    by_name = np.array(sorted(range(m), key=names.__getitem__))  # tie order
     bids, winner, price = np.empty((n, m)), np.empty(n, np.int64), np.empty(n)
     left = np.array(budgets, dtype=float)
     start = 0
@@ -148,14 +159,8 @@ def _clear(raw: np.ndarray, budgets: Sequence[float], names: Sequence[str],
         changed = ((after != live) & ~(np.isnan(after) & np.isnan(live))).any(axis=1)
         # row 0 was clamped to these very budgets: argmax is 0 only when no row changed
         kept = int(changed.argmax()) or len(live)
-        best, top = best[:kept], top[:kept, by_name]
-        won = by_name[top.argmax(axis=1)]
-        won[best == 0] = -1
-        counts = top.sum(axis=1)
-        ties = np.flatnonzero(counts > 1)
-        picks = np.array([tie_rng.integers(k) for k in counts[ties].tolist()], dtype=np.int64)
-        # each tie goes to its picks-th top bid in name order
-        won[ties] = by_name[(top[ties].cumsum(axis=1) > picks[:, None]).argmax(axis=1)]
+        best = best[:kept]
+        won = _winners(best, top[:kept], names, lambda i: tie_rng)
         sold = np.flatnonzero(won >= 0)
         np.subtract.at(left, won[sold], best[sold])
         end = start + kept
@@ -190,6 +195,23 @@ def run_market(
 
     out["bids"], out["winner"], out["price"] = _clear(raw, [a.budget for a in agents], names, tie_rng)
     return MarketResult(names, out)
+
+
+def random_bid_history(names: Sequence[str], pool: np.ndarray, rng: np.random.Generator, rounds: int):
+    """The outcome rows of ``rounds`` markets of ``rand`` agents with unlimited budgets: the bits
+    of ``run_market`` on each ``rng.spawn(rounds)`` generator in turn, cleared in one pass."""
+    n, m = len(pool), len(names)
+    out = np.zeros(rounds * n, outcome_dtype(m))
+    spawned = [round_rng.spawn(2 + m) for round_rng in rng.spawn(rounds)]
+    for rows, (order_rng, _, *agent_rngs) in zip(out.reshape(rounds, n), spawned):
+        order = order_rng.permutation(n)
+        rows["owner_id"], rows["num_samples"] = pool["id"][order], pool["num_samples"][order]
+        rows["bids"] = np.column_stack([bid_rand(StrategyParams(), g, n) for g in agent_rngs])
+    bids, best = out["bids"], out["price"]  # no budget binds: every raw bid is live
+    for column in bids.T:  # the top positive bid, or 0: max is exact in any order
+        np.maximum(best, np.where(column > 0, column, 0.0), out=best)
+    out["winner"] = _winners(best, (bids > 0) & (bids == best[:, None]), names, lambda i: spawned[i // n][1])
+    return out
 
 
 def compute_metrics(result: MarketResult) -> dict:

@@ -49,6 +49,10 @@ MUTANTS = [
     Mutant("ledger_bincount", "src/flmarket/market.py",
            "np.subtract.at(left, won[sold], best[sold])",
            "left -= np.bincount(won[sold], weights=best[sold], minlength=m)"),
+    Mutant("winners_agent_order", "src/flmarket/market.py",
+           "by_name = np.array(sorted(range(len(names)), key=names.__getitem__))",
+           "by_name = np.arange(len(names))"),
+    Mutant("ties_round_zero", "src/flmarket/market.py", "spawned[i // n][1]", "spawned[0][1]"),
     Mutant("class_order_reversed", "src/flmarket/fltrain.py", "col += P[k]", "col += P[K - k]"),
     Mutant("regula_falsi_slow", "src/flmarket/winmodel.py", "slow < 4", "slow < 6"),
     Mutant("digitize_right", "src/flmarket/winmodel.py",

@@ -268,9 +268,9 @@ class TestLocalTrain:
             "one_sample",
             "single_label",
             "blurred_niid",
-            "k8_one_block",
-            "k9_block_and_rest",
-            "k17_two_blocks_and_rest",
+            "k8",
+            "k9_blurred",
+            "k17_d5_blurred",
             "largest_owner",
             "k200_past_old_cap",
         ],

@@ -42,6 +42,12 @@ class TestBootstrap:
         with pytest.raises(ConfigurationError, match="bootstrap_rounds"):
             bootstrap_history(cfg, pool, np.random.default_rng(0))
 
+    def test_zero_rounds_one_agent(self, tmp_path):
+        cfg = small_config(out=str(tmp_path), bootstrap_rounds=0, agents=default_agent_lineup()[:1])
+        pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(1))
+        history = bootstrap_history(cfg, pool, np.random.default_rng(0))["const"].history
+        assert history.shape == (0,) and history["bids"].shape == (0, 1)
+
     def test_calibration_is_finite(self, tmp_path):
         cfg = small_config(out=str(tmp_path))
         pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(1))

@@ -17,6 +17,7 @@ from flmarket.market import (
     generate_do_pool,
     outcome_dtype,
     _clear,
+    random_bid_history,
     request_features,
     run_market,
 )
@@ -140,7 +141,7 @@ def random_agents(seed, strategies):
 
 class TestConsumerAgent:
     def test_infinite_budget_accepted(self):
-        # the bootstrap markets run with unlimited budgets
+        # the bootstrap history has the bits of rand agents with unlimited budgets
         assert ConsumerAgent("a", Strategy.RAND, math.inf).budget == math.inf
 
     def test_values_the_config_rejects_win_nothing(self):
@@ -217,13 +218,25 @@ class TestPool:
         assert pool["blurred"].tolist() == [True] * 3 + [False] * 2
 
     def test_draw_order_pinned(self):
-        # two scalar draws per owner, size then seed; drawing all sizes and then
-        # all seeds in one call each would change every later number
+        # the one (N, 2) draw keeps the interleaved order, size then seed per owner;
+        # drawing all sizes and then all seeds in one call each would change every later number
         pool = generate_do_pool(6, (1000, 10000), np.random.default_rng(3))
         assert pool["num_samples"].tolist() == [8304, 2615, 2632, 8823, 1354, 3990]
         assert pool["local_seed"].tolist() == [
             183930185, 508546690, 1720723810, 1250183451, 202139719, 930133021
         ]
+
+    @pytest.mark.parametrize("size", [2, 101])
+    @pytest.mark.parametrize("lo,hi", [(1000, 10000), (5, 5), (1, 2**32), (2**31, 2**33),
+                                       (1, 2**63 - 1), (2**63 - 1, 2**63 - 1)])
+    def test_same_bits_as_scalar_draws(self, lo, hi, size):
+        for seed in range(5):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            pool = generate_do_pool(size, (lo, hi), got_rng)
+            want = [(int(want_rng.integers(lo, hi + 1)), int(want_rng.integers(0, 2**31 - 1)))
+                    for _ in range(size)]
+            assert list(zip(pool["num_samples"].tolist(), pool["local_seed"].tolist())) == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestAuction:
@@ -479,6 +492,52 @@ class TestClear:
         pool = generate_do_pool(1000, (1000, 10000), np.random.default_rng(16))
         run_market([rand_agent(f"r{j}", 1e6) for j in range(6)], pool, np.random.default_rng(16))
         assert rows == [1000, 1000]  # one segment: its clamp and its bound
+
+
+class TestRandomBidHistory:
+    """The bootstrap sampler against one ``run_market`` per round."""
+
+    NAMES = [s.value for s in Strategy]  # the default lineup: not in name order
+
+    @staticmethod
+    def same_as_markets(names, pool, seed, rounds=20):
+        """The sampler's rows, after checking them against ``rounds`` rand markets."""
+        agents = [ConsumerAgent(name, Strategy.RAND, math.inf) for name in names]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_bid_history(names, pool, got_rng, rounds)
+        markets = [run_market(agents, pool, g).outcomes for g in want_rng.spawn(rounds)]
+        want = np.concatenate([np.zeros(0, outcome_dtype(len(names))), *markets])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_rng.spawn(1)[0].integers(2**63) == want_rng.spawn(1)[0].integers(2**63)
+        return got
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("size", [30, 100, 1000])
+    def test_bits_of_run_market(self, size, seed):
+        pool = generate_do_pool(size, (1000, 10000), np.random.default_rng(seed))
+        got = self.same_as_markets(self.NAMES, pool, seed)
+        assert len(got) == 20 * size and np.all(got["winner"] >= 0)
+
+    def test_ties_draw_from_their_own_round(self, monkeypatch):
+        # bids of 1/3, 2/3 or 1 tie on most rows; run_market and the sampler both
+        # look bid_rand up in market
+        draw = market.bid_rand
+        monkeypatch.setattr(market, "bid_rand", lambda *args: np.ceil(3 * draw(*args)) / 3)
+        pool = generate_do_pool(100, (1000, 10000), np.random.default_rng(17))
+        got = self.same_as_markets(self.NAMES, pool, 17)
+        tied = (got["bids"] == got["price"][:, None]).sum(axis=1) > 1
+        assert tied.reshape(20, 100).sum(axis=1).min() > 1  # several ties in every round
+        # the rule itself, apart from the clearing code both sides share
+        by_name = sorted(range(len(self.NAMES)), key=self.NAMES.__getitem__)
+        for rows, round_rng in zip(got.reshape(20, 100), np.random.default_rng(17).spawn(20)):
+            tie_rng = round_rng.spawn(2 + len(self.NAMES))[1]
+            for bids, winner, price in zip(*(rows[f].tolist() for f in ("bids", "winner", "price"))):
+                top = [j for j in by_name if bids[j] == price]
+                assert winner == (top[0] if len(top) == 1 else top[int(tie_rng.integers(len(top)))])
+
+    def test_zero_rounds(self):
+        pool = generate_do_pool(30, (1000, 10000), np.random.default_rng(18))
+        assert len(self.same_as_markets(["solo"], pool, 18, rounds=0)) == 0
 
 
 class TestMetrics:
