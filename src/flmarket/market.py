@@ -7,11 +7,7 @@ agent's remaining budget are clamped to the remaining budget, so spend
 never exceeds the budget.
 
 Raw bids never depend on budget state, so the market computes them as
-one column per agent up front and then clears them in segments: each
-segment clamps every row still to clear to the budgets left at its first
-row and clears them at once, up to the first row whose clamped bids would
-change if every top bidder of each earlier row paid.  The outcomes have
-the bits of clearing one row at a time.
+one column per agent up front and then clears the rows one at a time.
 """
 
 from __future__ import annotations
@@ -115,58 +111,30 @@ def _raw_bids(agent: ConsumerAgent, Q: np.ndarray, rng: np.random.Generator) -> 
     return closed_form_bid(s, agent.win_model, agent.lam)
 
 
-def _live(raw: np.ndarray, remaining: np.ndarray) -> np.ndarray:
-    """Bids clamped to the remaining budgets; NaN where a budget is spent."""
-    return np.where(remaining > 0, np.minimum(raw, remaining), np.nan)
-
-
-def _winners(best: np.ndarray, top: np.ndarray, names: Sequence[str], tie_rng_of) -> np.ndarray:
-    """Each row's winner: its first top bid in name order, or -1 where ``best`` is 0; a tied
-    row goes to the top bid in name order that ``tie_rng_of(row)`` draws, in row order."""
-    by_name = np.array(sorted(range(len(names)), key=names.__getitem__))
-    top = top[:, by_name]
-    won = by_name[top.argmax(axis=1)]
-    won[best == 0] = -1
-    counts = top.sum(axis=1)
-    ties = np.flatnonzero(counts > 1)
-    picks = [tie_rng_of(i).integers(k) for i, k in zip(ties.tolist(), counts[ties].tolist())]
-    won[ties] = by_name[(top[ties].cumsum(axis=1) > np.array(picks, np.int64)[:, None]).argmax(axis=1)]
-    return won
-
-
 def _clear(raw: np.ndarray, budgets: Sequence[float], names: Sequence[str],
            tie_rng: np.random.Generator):
     """Clear the rows of ``raw`` in auction order: (clamped bids, winner, price) per row.
 
-    Each segment clamps every row still to clear to the budgets left at its
-    first row.  No agent pays more than if every top bidder of each row paid
-    its bid, so the segment keeps the rows before the first one whose clamped
-    bids that bound would change: they clear as one row at a time would, and
-    ``subtract.at`` takes each winner's price from its budget in row order.
+    Each row clamps its bids to the budgets left, NaN where a budget is spent.  The top
+    positive bid wins: the first in name order, or among k tied bids the one
+    ``tie_rng.integers(k)`` draws.  The winner pays its bid before the next row clears.
     """
-    n, m = raw.shape
-    bids, winner, price = np.empty((n, m)), np.empty(n, np.int64), np.empty(n)
-    left = np.array(budgets, dtype=float)
-    start = 0
-    while start < n:
-        live = _live(raw[start:], left)
-        positive = live > 0
-        best = np.where(positive, live, 0.0).max(axis=1)
-        top = positive & (live == best[:, None])
-        # every top bidder pays: no budget falls below these
-        bound = np.subtract.accumulate(np.vstack([left, top * best[:, None]]), axis=0)
-        after = _live(raw[start:], bound[:-1])
-        changed = ((after != live) & ~(np.isnan(after) & np.isnan(live))).any(axis=1)
-        # row 0 was clamped to these very budgets: argmax is 0 only when no row changed
-        kept = int(changed.argmax()) or len(live)
-        best = best[:kept]
-        won = _winners(best, top[:kept], names, lambda i: tie_rng)
-        sold = np.flatnonzero(won >= 0)
-        np.subtract.at(left, won[sold], best[sold])
-        end = start + kept
-        bids[start:end], winner[start:end], price[start:end] = live[:kept], won, best
-        start = end
-    return bids, winner, price
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    left = [float(b) for b in budgets]
+    bids, winner, price = [], [], []
+    for row in raw.tolist():
+        # this operand order keeps a NaN bid NaN, as np.minimum did
+        live = [(x if x < b else b) if x > 0 else math.nan for b, x in zip(row, left)]
+        best = max([v for v in live if v > 0], default=0.0)
+        j = -1
+        if best > 0:
+            top = [i for i in by_name if live[i] == best]
+            j = top[0] if len(top) == 1 else top[tie_rng.integers(len(top))]
+            left[j] -= best
+        bids.append(live)
+        winner.append(j)
+        price.append(best)
+    return np.array(bids, float).reshape(raw.shape), np.array(winner, np.int64), np.array(price, float)
 
 
 def run_market(
@@ -178,9 +146,9 @@ def run_market(
 
     Strategy randomness is drawn for every agent at every request
     (regardless of budget state) so bid streams stay aligned across
-    runs that differ only in one agent's budget.  The rows are cleared in
-    segments by ``_clear``, with the bits of a row-by-row clearing.  The
-    agents are not modified: the remaining budgets live in ``_clear``.
+    runs that differ only in one agent's budget.  ``_clear`` then clears
+    the rows one at a time, in time linear in the rows.  The agents are
+    not modified: the remaining budgets live in ``_clear``.
     Agent names should be unique, as the config checks; the result is keyed by them.
     """
     names = [a.name for a in agents]
@@ -210,7 +178,17 @@ def random_bid_history(names: Sequence[str], pool: np.ndarray, rng: np.random.Ge
     bids, best = out["bids"], out["price"]  # no budget binds: every raw bid is live
     for column in bids.T:  # the top positive bid, or 0: max is exact in any order
         np.maximum(best, np.where(column > 0, column, 0.0), out=best)
-    out["winner"] = _winners(best, (bids > 0) & (bids == best[:, None]), names, lambda i: spawned[i // n][1])
+    # each row's first top bid in name order, or -1 where best is 0; a tied row goes
+    # to the top bid in name order that its own round's tie generator draws, in row order
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__))
+    top = ((bids > 0) & (bids == best[:, None]))[:, by_name]
+    won = by_name[top.argmax(axis=1)]
+    won[best == 0] = -1
+    counts = top.sum(axis=1)
+    ties = np.flatnonzero(counts > 1)
+    picks = [spawned[i // n][1].integers(k) for i, k in zip(ties.tolist(), counts[ties].tolist())]
+    won[ties] = by_name[(top[ties].cumsum(axis=1) > np.array(picks, np.int64)[:, None]).argmax(axis=1)]
+    out["winner"] = won
     return out
 
 

@@ -5,8 +5,10 @@ a fixed set of runs, and the paper's table over them.
     python3 tests/golden.py           # print the current outputs as JSON
 
 The set is seeds 0-9 at budgets 50, 150 and 300 without FL, pool_size
-1,000 at seed 4 without FL, and three FL runs: seed 5 iid, seed 6 niid, and
-seed 7 niid with one class per owner and three local epochs.
+1,000 at seed 4 without FL, ten const agents with budgets 50, 100, ..., 500
+at seed 0 without FL (every bid ties until budgets run out), and three FL
+runs: seed 5 iid, seed 6 niid, and seed 7 niid with one class per owner and
+three local epochs.
 It runs in one child process pinned to OpenBLAS's SSE3 (Prescott) kernels
 on one thread and to numpy's baseline (X86_V2) SIMD loops, so the bytes
 depend on the numpy and OpenBLAS builds and not on the CPU.  The config
@@ -42,12 +44,18 @@ BASELINES = ("const", "rand", "bmub", "lin")
 
 def runs() -> dict:
     """Run name -> RunConfig keyword arguments, output_dir aside."""
+    from flmarket.config import AgentSpec
+    from flmarket.strategies import Strategy
+
     out = {
         f"seed{seed}_budget{budget}": dict(master_seed=seed, budget=float(budget), train_fl=False)
         for budget in BUDGETS
         for seed in SEEDS
     }
     out["pool1000_seed4"] = dict(master_seed=4, pool_size=1000, train_fl=False)
+    # the tie edge: equal const bids tie on every row while budgets bind
+    ties = [AgentSpec(f"c{i}", Strategy.CONST, 50.0 * (i + 1)) for i in range(10)]
+    out["const_ties_seed0"] = dict(master_seed=0, train_fl=False, agents=ties)
     out["fl_iid_seed5"] = dict(master_seed=5, partition="iid")
     out["fl_niid_seed6"] = dict(master_seed=6, partition="niid")
     # the FL edge: one class per owner, three local steps

@@ -5,8 +5,9 @@
     python3 tests/mutants.py --list     # print the list
 
 Each mutant replaces one exact piece of text in one file of a temporary copy
-of the repository, then runs the Tier-1 suite there with ``-x``.  A mutant is
-killed when the suite fails or runs past ``TIMEOUT_S``, and survives when it
+of the repository, then runs the Tier-1 suite there with ``-x``, less
+``test_mutants.py``, which fails on any mutated copy.  A mutant is killed
+when the suite fails or runs past ``TIMEOUT_S``, and survives when it
 passes.  An ``equivalent`` mutant cannot change any output, so it is expected
 to survive; every other mutant is expected to be killed.  The copy goes under
 ``TMPDIR``.  Prints one line per mutant and exits non-zero when an outcome
@@ -46,9 +47,10 @@ MUTANTS = [
     Mutant("clamp_eps", "src/flmarket/estimator.py", "CLAMP_EPS = 1e-6", "CLAMP_EPS = 2e-6"),
     Mutant("no_reserve_winner", "src/flmarket/market.py",
            "won[best == 0] = -1", "won[best < 0] = -1"),
-    Mutant("ledger_bincount", "src/flmarket/market.py",
-           "np.subtract.at(left, won[sold], best[sold])",
-           "left -= np.bincount(won[sold], weights=best[sold], minlength=m)"),
+    Mutant("nan_clamp_order", "src/flmarket/market.py", "(x if x < b else b)", "(b if b < x else x)"),
+    Mutant("spent_budget_bids_zero", "src/flmarket/market.py",
+           "if x > 0 else math.nan", "if x >= 0 else math.nan"),
+    Mutant("tie_takes_last", "src/flmarket/market.py", "top[tie_rng.integers(len(top))]", "top[-1]"),
     Mutant("winners_agent_order", "src/flmarket/market.py",
            "by_name = np.array(sorted(range(len(names)), key=names.__getitem__))",
            "by_name = np.arange(len(names))"),
@@ -88,7 +90,8 @@ def run(mutant: Mutant) -> tuple:
         start = time.perf_counter()
         try:
             child = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--ignore", "tests/test_mutants.py"],
                 cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 timeout=TIMEOUT_S,
             )

@@ -384,7 +384,7 @@ class TestReferenceLoop:
             bids = out["bids"]
             ties += np.sum(np.sum(bids == out["price"][:, None], axis=1) > 1)
             spent += np.sum(np.isnan(bids))
-            # a clamped win pays the winner's whole remaining budget; it ends a clearing segment
+            # a clamped win pays the winner's whole remaining budget
             left = [a.budget for a in agents]
             for j, price in zip(out["winner"].tolist(), out["price"].tolist()):
                 if j >= 0:
@@ -411,9 +411,9 @@ class TestReferenceLoop:
         got = same_as_reference(agents, pool, 13)
         assert np.all(got["winner"] >= 0)
 
-    def test_ties_right_after_a_cut(self):
+    def test_ties_right_after_a_clamp(self):
         # c ties a and b until its second win leaves 0.2; the next row is the
-        # first a-b tie, so a tie draw leaked past that cut, or repeated,
+        # first a-b tie, so a tie draw skipped or repeated at that clamp
         # would change the winners after it
         pool = generate_do_pool(200, (1000, 10000), np.random.default_rng(14))
         agents = [const_agent("c", 1.2, 0.5), const_agent("b", 1e6, 0.5), const_agent("a", 1e6, 0.5)]
@@ -423,8 +423,8 @@ class TestReferenceLoop:
         assert set(got["winner"][second_win + 1 :].tolist()) == {1, 2}
 
     def test_tied_budgets_run_out(self, monkeypatch):
-        # five const agents tie at 0.5 on every row until their budgets run out, so
-        # the bound, which charges every tied bidder, cuts at every tie
+        # five const agents tie at 0.5 on every row until their budgets run out:
+        # every row before that draws a tie
         pool = generate_do_pool(300, (1000, 10000), np.random.default_rng(15))
         budgets = [0.5 * 300 / 5 * (0.5 + i / 5) for i in range(5)]
         agents = [const_agent(f"c{i}", b, 0.5) for i, b in enumerate(budgets)]
@@ -462,7 +462,7 @@ class TestReferenceLoop:
 
 
 class TestClear:
-    """Segment clearing against a row-by-row clearing of the same raw bids."""
+    """``_clear`` against the reference row-by-row clearing of the same raw bids."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -484,14 +484,6 @@ class TestClear:
         for have, expected in zip(got, want):
             assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
-    def test_budgets_that_never_bind_clear_in_one_segment(self, monkeypatch):
-        rows, live = [], market._live
-        monkeypatch.setattr(market, "_live", lambda raw, left: rows.append(len(raw)) or live(raw, left))
-        pool = generate_do_pool(1000, (1000, 10000), np.random.default_rng(16))
-        run_market([rand_agent(f"r{j}", 1e6) for j in range(6)], pool, np.random.default_rng(16))
-        assert rows == [1000, 1000]  # one segment: its clamp and its bound
 
 
 class TestRandomBidHistory:
@@ -527,13 +519,22 @@ class TestRandomBidHistory:
         got = self.same_as_markets(self.NAMES, pool, 17)
         tied = (got["bids"] == got["price"][:, None]).sum(axis=1) > 1
         assert tied.reshape(20, 100).sum(axis=1).min() > 1  # several ties in every round
-        # the rule itself, apart from the clearing code both sides share
+        # the rule itself, written apart from both sides' code
         by_name = sorted(range(len(self.NAMES)), key=self.NAMES.__getitem__)
         for rows, round_rng in zip(got.reshape(20, 100), np.random.default_rng(17).spawn(20)):
             tie_rng = round_rng.spawn(2 + len(self.NAMES))[1]
             for bids, winner, price in zip(*(rows[f].tolist() for f in ("bids", "winner", "price"))):
                 top = [j for j in by_name if bids[j] == price]
                 assert winner == (top[0] if len(top) == 1 else top[int(tie_rng.integers(len(top)))])
+
+    def test_rows_with_no_positive_bid_go_unsold(self, monkeypatch):
+        # bids of 0, 1/2 or 1: about 1 row in 64 has every bid at 0
+        draw = market.bid_rand
+        monkeypatch.setattr(market, "bid_rand", lambda *args: np.floor(2 * draw(*args)) / 2)
+        pool = generate_do_pool(100, (1000, 10000), np.random.default_rng(19))
+        got = self.same_as_markets(self.NAMES, pool, 19)
+        unsold = got["winner"] == -1
+        assert unsold.sum() > 10 and np.all(got["price"][unsold] == 0.0)
 
     def test_zero_rounds(self):
         pool = generate_do_pool(30, (1000, 10000), np.random.default_rng(18))
