@@ -1,10 +1,11 @@
 """Two-phase experiment protocol and artifact emission.
 
-Phase 1 (bootstrap): one pass of ``market.random_bid_history`` draws the
-warm-up markets, where every agent bids uniformly at random, as one auction
-history that all consumers share.  Consumers that need utility estimates fit
-theta on the records they won; closed-form consumers also calibrate their
-win model and solve the budget multiplier.
+Phase 1 (bootstrap): ``market.random_bid_history`` draws the warm-up
+markets, where every agent bids uniformly at random, from the bootstrap
+generator alone, as one auction history that all consumers share.
+Consumers that need utility estimates fit theta on the records they won;
+closed-form consumers also calibrate their win model and solve the budget
+multiplier.
 
 Phase 2 (market): the competitive market runs once over the pool, then
 each consumer trains a FedAvg model on the owners it won.

@@ -166,28 +166,25 @@ def run_market(
 
 
 def random_bid_history(names: Sequence[str], pool: np.ndarray, rng: np.random.Generator, rounds: int):
-    """The outcome rows of ``rounds`` markets of ``rand`` agents with unlimited budgets: the bits
-    of ``run_market`` on each ``rng.spawn(rounds)`` generator in turn, cleared in one pass."""
-    n, m = len(pool), len(names)
-    out = np.zeros(rounds * n, outcome_dtype(m))
-    spawned = [round_rng.spawn(2 + m) for round_rng in rng.spawn(rounds)]
-    for rows, (order_rng, _, *agent_rngs) in zip(out.reshape(rounds, n), spawned):
-        order = order_rng.permutation(n)
-        rows["owner_id"], rows["num_samples"] = pool["id"][order], pool["num_samples"][order]
-        rows["bids"] = np.column_stack([bid_rand(StrategyParams(), g, n) for g in agent_rngs])
-    bids, best = out["bids"], out["price"]  # no budget binds: every raw bid is live
+    """The outcome rows of ``rounds`` markets of ``rand`` agents with unlimited budgets.
+
+    ``rng`` draws every round's owner order, then every round's bids.  No budget binds, so
+    each row goes to its first top positive bid in name order, or unsold at price 0.
+    """
+    n = len(pool)
+    out = np.zeros(rounds * n, outcome_dtype(len(names)))
+    order = rng.permuted(np.tile(np.arange(n), (rounds, 1)), axis=1).ravel()
+    out["owner_id"], out["num_samples"] = pool["id"][order], pool["num_samples"][order]
+    for rows in out.reshape(rounds, n):  # the bits of one block draw, without its copy
+        rows["bids"] = bid_rand(StrategyParams(), rng, n * len(names)).reshape(n, -1)
+    bids, best = out["bids"], out["price"]
     for column in bids.T:  # the top positive bid, or 0: max is exact in any order
-        np.maximum(best, np.where(column > 0, column, 0.0), out=best)
-    # each row's first top bid in name order, or -1 where best is 0; a tied row goes
-    # to the top bid in name order that its own round's tie generator draws, in row order
-    by_name = np.array(sorted(range(len(names)), key=names.__getitem__))
-    top = ((bids > 0) & (bids == best[:, None]))[:, by_name]
-    won = by_name[top.argmax(axis=1)]
+        np.maximum(best, column, out=best)
+    won = np.full(len(out), -1)
+    # each row's top bids in reverse name order, so that the first in name order is set last
+    for j in sorted(range(len(names)), key=names.__getitem__, reverse=True):
+        won[bids[:, j] == best] = j
     won[best == 0] = -1
-    counts = top.sum(axis=1)
-    ties = np.flatnonzero(counts > 1)
-    picks = [spawned[i // n][1].integers(k) for i, k in zip(ties.tolist(), counts[ties].tolist())]
-    won[ties] = by_name[(top[ties].cumsum(axis=1) > np.array(picks, np.int64)[:, None]).argmax(axis=1)]
     out["winner"] = won
     return out
 

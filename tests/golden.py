@@ -2,13 +2,16 @@
 a fixed set of runs, and the paper's table over them.
 
     python3 tests/golden.py --write   # regenerate tests/golden.json
+    python3 tests/golden.py --diff    # print what moved against tests/golden.json
     python3 tests/golden.py           # print the current outputs as JSON
 
 The set is seeds 0-9 at budgets 50, 150 and 300 without FL, pool_size
 1,000 at seed 4 without FL, ten const agents with budgets 50, 100, ..., 500
-at seed 0 without FL (every bid ties until budgets run out), and three FL
-runs: seed 5 iid, seed 6 niid, and seed 7 niid with one class per owner and
-three local epochs.
+at seed 0 without FL (every bid ties until budgets run out), two more edges
+at seed 0 without FL (every owner holding 1,000,000 samples, so the
+size feature is constant and the fits are rank-deficient; and a pool of
+two owners), and three FL runs: seed 5 iid, seed 6 niid, and seed 7 niid
+with one class per owner and three local epochs.
 It runs in one child process pinned to OpenBLAS's SSE3 (Prescott) kernels
 on one thread and to numpy's baseline (X86_V2) SIMD loops, so the bytes
 depend on the numpy and OpenBLAS builds and not on the CPU.  The config
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -56,6 +60,9 @@ def runs() -> dict:
     # the tie edge: equal const bids tie on every row while budgets bind
     ties = [AgentSpec(f"c{i}", Strategy.CONST, 50.0 * (i + 1)) for i in range(10)]
     out["const_ties_seed0"] = dict(master_seed=0, train_fl=False, agents=ties)
+    # the size edges: one owner size for the whole pool, and the smallest pool
+    out["samples1e6_seed0"] = dict(master_seed=0, sample_range=(10**6, 10**6), train_fl=False)
+    out["pool2_seed0"] = dict(master_seed=0, pool_size=2, train_fl=False)
     out["fl_iid_seed5"] = dict(master_seed=5, partition="iid")
     out["fl_niid_seed6"] = dict(master_seed=6, partition="niid")
     # the FL edge: one class per owner, three local steps
@@ -121,14 +128,53 @@ def pinned_outputs() -> dict:
     return json.loads(child.stdout)
 
 
+def row(cells) -> str:
+    return "| " + " | ".join(map(str, cells)) + " |"
+
+
+def diff(old: dict, new: dict) -> str:
+    """What moved from the golden outputs ``old`` to ``new``: the digests by run, the
+    runs added or removed, and both tables side by side as ``old -> new``."""
+    lines = []
+    if old["versions"] != new["versions"]:
+        lines.append(f"versions: {old['versions']} -> {new['versions']}")
+    kept = sorted(old["runs"].keys() & new["runs"].keys())
+    moved = {run: [kind for kind, digest in old["runs"][run].items() if new["runs"][run].get(kind) != digest]
+             for run in kept}
+    total = sum(len(old["runs"][run]) for run in kept)
+    lines.append(f"{sum(map(len, moved.values()))} of {total} digests moved:")
+    lines += [f"  {run}: {' '.join(kinds)}" for run, kinds in moved.items() if kinds]
+    for label, a, b in (("added", new, old), ("removed", old, new)):
+        lines.append(f"{label}: {', '.join(sorted(a['runs'].keys() - b['runs'].keys())) or 'none'}")
+
+    mean = [out["table"]["mean_total_samples"] for out in (old, new)]
+    names = list(mean[1][str(BUDGETS[0])])
+    lines += ["", "mean total_samples, old -> new:", row(["budget", *names]), row(["---"] * (len(names) + 1))]
+    for budget in map(str, BUDGETS):
+        cells = [" -> ".join(f"{m[budget].get(name, math.nan):,.0f}" for m in mean) for name in names]
+        lines.append(row([budget, *cells]))
+    more = [out["table"]["seeds_with_more_samples"] for out in (old, new)]
+    lines += ["", "seeds_with_more_samples, old -> new:", row(["budget", "strategy", *BASELINES]),
+              row(["---"] * (len(BASELINES) + 2))]
+    for budget in map(str, BUDGETS):
+        for fb in ("fbs", "fbc"):
+            cells = [" -> ".join(str(m[budget][fb][base]) for m in more) for base in BASELINES]
+            lines.append(row([budget, fb, *cells]))
+    return "\n".join(lines) + "\n"
+
+
 def main(argv) -> int:
     if argv == ["--child"]:
         print(json.dumps(outputs()))
         return 0
-    if argv not in ([], ["--write"]):
+    if argv not in ([], ["--write"], ["--diff"]):
         print(__doc__, file=sys.stderr)
         return 2
-    text = json.dumps(pinned_outputs(), indent=1, sort_keys=True) + "\n"
+    found = pinned_outputs()
+    if argv == ["--diff"]:
+        sys.stdout.write(diff(json.loads(GOLDEN.read_text()), found))
+        return 0
+    text = json.dumps(found, indent=1, sort_keys=True) + "\n"
     if argv == ["--write"]:
         GOLDEN.write_text(text)
     else:

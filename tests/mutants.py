@@ -52,9 +52,9 @@ MUTANTS = [
            "if x > 0 else math.nan", "if x >= 0 else math.nan"),
     Mutant("tie_takes_last", "src/flmarket/market.py", "top[tie_rng.integers(len(top))]", "top[-1]"),
     Mutant("winners_agent_order", "src/flmarket/market.py",
-           "by_name = np.array(sorted(range(len(names)), key=names.__getitem__))",
-           "by_name = np.arange(len(names))"),
-    Mutant("ties_round_zero", "src/flmarket/market.py", "spawned[i // n][1]", "spawned[0][1]"),
+           "sorted(range(len(names)), key=names.__getitem__, reverse=True)",
+           "reversed(range(len(names)))"),
+    Mutant("history_tie_takes_last", "src/flmarket/market.py", "reverse=True", "reverse=False"),
     Mutant("class_order_reversed", "src/flmarket/fltrain.py", "col += P[k]", "col += P[K - k]"),
     Mutant("regula_falsi_slow", "src/flmarket/winmodel.py", "slow < 4", "slow < 6"),
     Mutant("digitize_right", "src/flmarket/winmodel.py",

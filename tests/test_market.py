@@ -487,58 +487,86 @@ class TestClear:
 
 
 class TestRandomBidHistory:
-    """The bootstrap sampler against one ``run_market`` per round."""
+    """The bootstrap sampler: what its rows must hold, and how it draws them."""
 
     NAMES = [s.value for s in Strategy]  # the default lineup: not in name order
 
     @staticmethod
-    def same_as_markets(names, pool, seed, rounds=20):
-        """The sampler's rows, after checking them against ``rounds`` rand markets."""
-        agents = [ConsumerAgent(name, Strategy.RAND, math.inf) for name in names]
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_bid_history(names, pool, got_rng, rounds)
-        markets = [run_market(agents, pool, g).outcomes for g in want_rng.spawn(rounds)]
-        want = np.concatenate([np.zeros(0, outcome_dtype(len(names))), *markets])
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert got_rng.spawn(1)[0].integers(2**63) == want_rng.spawn(1)[0].integers(2**63)
+    def sample(pool, seed, rounds=20, names=NAMES):
+        """The sampler's rows, after checking each against the clearing rule written row by row:
+        the top positive bid wins at its price, the first in name order among ties, and a row
+        with no positive bid goes unsold at price 0."""
+        got = random_bid_history(names, pool, np.random.default_rng(seed), rounds)
+        assert got.dtype == outcome_dtype(len(names)) and len(got) == rounds * len(pool)
+        by_name = sorted(range(len(names)), key=names.__getitem__)
+        for bids, winner, price in zip(*(got[f].tolist() for f in ("bids", "winner", "price"))):
+            best = max([b for b in bids if b > 0], default=0.0)
+            want = next((j for j in by_name if bids[j] == best), -1) if best > 0 else -1
+            assert (winner, price) == (want, best)
         return got
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("size", [30, 100, 1000])
-    def test_bits_of_run_market(self, size, seed):
+    def test_bits_of_run_market(self, size, seed, monkeypatch):
+        # each round's rows are run_market's, in its order, when its rand agents bid the
+        # round's bids: market looks bid_rand up at each call
         pool = generate_do_pool(size, (1000, 10000), np.random.default_rng(seed))
-        got = self.same_as_markets(self.NAMES, pool, seed)
-        assert len(got) == 20 * size and np.all(got["winner"] >= 0)
+        got = self.sample(pool, seed)
+        agents = [ConsumerAgent(name, Strategy.RAND, math.inf) for name in self.NAMES]
+        order = run_market(agents, pool, np.random.default_rng(seed)).outcomes["owner_id"] - 1
+        for rows in got.reshape(20, size):
+            want = rows[np.argsort(rows["owner_id"])][order]
+            columns = iter(want["bids"].T)
+            monkeypatch.setattr(market, "bid_rand", lambda *args: next(columns))
+            assert run_market(agents, pool, np.random.default_rng(seed)).outcomes.tobytes() == want.tobytes()
 
-    def test_ties_draw_from_their_own_round(self, monkeypatch):
-        # bids of 1/3, 2/3 or 1 tie on most rows; run_market and the sampler both
-        # look bid_rand up in market
+    def test_rounds_permute_the_pool(self):
+        pool = generate_do_pool(100, (1000, 10000), np.random.default_rng(16))
+        got = self.sample(pool, 16)
+        for rows in got.reshape(20, 100):
+            assert sorted(rows["owner_id"]) == list(pool["id"])
+            assert np.array_equal(rows["num_samples"], pool["num_samples"][rows["owner_id"] - 1])
+        assert np.all(got["bids"] > 0) and np.all(got["bids"] <= StrategyParams().rand_max)
+        assert np.all(got["winner"] >= 0)
+
+    def test_draws_are_one_order_block_then_one_bid_block(self):
+        # per-round bid draws have the bits of one block draw after the orders
+        pool = generate_do_pool(100, (1000, 10000), np.random.default_rng(20))
+        got_rng, want_rng = np.random.default_rng(20), np.random.default_rng(20)
+        got = random_bid_history(self.NAMES, pool, got_rng, 20)
+        order = want_rng.permuted(np.tile(np.arange(100), (20, 1)), axis=1).ravel()
+        bids = st.bid_rand(StrategyParams(), want_rng, 20 * 100 * len(self.NAMES))
+        assert np.array_equal(got["owner_id"], pool["id"][order])
+        assert got["bids"].tobytes() == bids.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_same_seed_same_bytes(self):
+        pool = generate_do_pool(100, (1000, 10000), np.random.default_rng(21))
+        first, again, other = (random_bid_history(self.NAMES, pool, np.random.default_rng(seed), 20)
+                               for seed in (21, 21, 22))
+        assert first.tobytes() == again.tobytes() != other.tobytes()
+
+    def test_ties_go_to_the_first_top_bid_in_name_order(self, monkeypatch):
+        # bids of 1/3, 2/3 or 1 tie on most rows; the sampler looks bid_rand up in market
         draw = market.bid_rand
         monkeypatch.setattr(market, "bid_rand", lambda *args: np.ceil(3 * draw(*args)) / 3)
         pool = generate_do_pool(100, (1000, 10000), np.random.default_rng(17))
-        got = self.same_as_markets(self.NAMES, pool, 17)
+        got = self.sample(pool, 17)
         tied = (got["bids"] == got["price"][:, None]).sum(axis=1) > 1
         assert tied.reshape(20, 100).sum(axis=1).min() > 1  # several ties in every round
-        # the rule itself, written apart from both sides' code
-        by_name = sorted(range(len(self.NAMES)), key=self.NAMES.__getitem__)
-        for rows, round_rng in zip(got.reshape(20, 100), np.random.default_rng(17).spawn(20)):
-            tie_rng = round_rng.spawn(2 + len(self.NAMES))[1]
-            for bids, winner, price in zip(*(rows[f].tolist() for f in ("bids", "winner", "price"))):
-                top = [j for j in by_name if bids[j] == price]
-                assert winner == (top[0] if len(top) == 1 else top[int(tie_rng.integers(len(top)))])
 
     def test_rows_with_no_positive_bid_go_unsold(self, monkeypatch):
         # bids of 0, 1/2 or 1: about 1 row in 64 has every bid at 0
         draw = market.bid_rand
         monkeypatch.setattr(market, "bid_rand", lambda *args: np.floor(2 * draw(*args)) / 2)
         pool = generate_do_pool(100, (1000, 10000), np.random.default_rng(19))
-        got = self.same_as_markets(self.NAMES, pool, 19)
+        got = self.sample(pool, 19)
         unsold = got["winner"] == -1
         assert unsold.sum() > 10 and np.all(got["price"][unsold] == 0.0)
 
     def test_zero_rounds(self):
         pool = generate_do_pool(30, (1000, 10000), np.random.default_rng(18))
-        assert len(self.same_as_markets(["solo"], pool, 18, rounds=0)) == 0
+        assert len(self.sample(pool, 18, rounds=0, names=["solo"])) == 0
 
 
 class TestMetrics:

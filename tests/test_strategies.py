@@ -334,8 +334,11 @@ class TestSolveLambda:
 
 def lambda_by_halving(samples, model, budget):
     """The lambda that plain halving of k = 1/(1+lambda) on [0, 1] to adjacent
-    floats finds, and its number of halvings."""
+    floats finds, and its number of halvings; 0 and no halvings where the spend
+    at k = 1 is within the budget."""
     target, lo, hi, halvings = budget / len(samples), 0.0, 1.0, 0
+    if st.expected_spend_per_request(samples, model, 0.0) <= target:
+        return 0.0, 0
     while lo < (k := 0.5 * (lo + hi)) < hi:
         if st.expected_spend_per_request(samples, model, 1.0 / k - 1.0) <= target:
             lo = k
@@ -384,7 +387,7 @@ class TestRegulaFalsi:
             assert 0 < sol.iterations <= halvings
 
     def test_same_lambda_as_halving_on_the_runs(self, run_solves):
-        assert len(run_solves) == 62  # fbs and fbc in each of 31 runs; const agents solve none
+        assert len(run_solves) == 66  # fbs and fbc in each of 33 runs; const agents solve none
         for args in run_solves:
             sol = st.solve_lambda(*args)
             lam, halvings = lambda_by_halving(*args)
