@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of the market, summary and calibration file of
-a fixed set of runs, and the paper's table over them.
+a fixed set of runs, the paper's table over them, and one fit on the clamp
+floor.
 
     python3 tests/golden.py --write   # regenerate tests/golden.json
     python3 tests/golden.py --diff    # print what moved against tests/golden.json
@@ -11,11 +12,17 @@ at seed 0 without FL (every bid ties until budgets run out), two more edges
 at seed 0 without FL (every owner holding 1,000,000 samples, so the
 size feature is constant and the fits are rank-deficient; and a pool of
 two owners), and three FL runs: seed 5 iid, seed 6 niid, and seed 7 niid
-with one class per owner and three local epochs.
-It runs in one child process pinned to OpenBLAS's SSE3 (Prescott) kernels
-on one thread and to numpy's baseline (X86_V2) SIMD loops, so the bytes
-depend on the numpy and OpenBLAS builds and not on the CPU.  The config
-echo is left out: it holds the output path.
+with one class per owner and three local epochs.  It runs in one child
+process pinned to OpenBLAS's SSE3 (Prescott) kernels on one thread and to
+numpy's baseline (X86_V2) SIMD loops, so the bytes depend on the numpy and
+OpenBLAS builds and not on the CPU.  The config echo is left out: it holds
+the output path.
+
+No searched config that the gate accepts ends a fit on the clamp floor
+(1 + theta.q at CLAMP_EPS), so the floor is pinned on the library: what
+``estimator.fit`` returns on ``make_history([-0.2, 0.5, -1.0], 20)`` drawn
+from the suite's generator (seed 12345), whose least-squares theta lies
+beyond the floor, so the fit ends on it after 200 solves.
 
 The table gives, per budget, each strategy's mean ``total_samples`` over
 the ten seeds, and on how many seeds fbs and fbc won more samples than
@@ -71,6 +78,18 @@ def runs() -> dict:
     return out
 
 
+def floor_fit() -> dict:
+    """``estimator.fit`` on a history whose fit ends on the clamp floor."""
+    import numpy as np
+
+    from conftest import make_history
+    from flmarket.estimator import fit
+
+    result = fit(*make_history([-0.2, 0.5, -1.0], 20, np.random.default_rng(12345)))
+    return {"theta": result.theta.tolist(), "iterations": result.iterations, "loss": result.loss,
+            "grad_rel": result.grad_rel, "converged": result.converged}
+
+
 def versions() -> dict:
     import numpy as np
 
@@ -112,7 +131,7 @@ def outputs() -> dict:
             if name.startswith("seed"):  # the seed x budget grid makes the table
                 key = kwargs["master_seed"], int(kwargs["budget"])
                 samples[key] = {n: m.total_samples for n, m in art.metrics.items()}
-    return {"versions": versions(), "table": table(samples), "runs": digests}
+    return {"versions": versions(), "table": table(samples), "runs": digests, "floor_fit": floor_fit()}
 
 
 def pinned_outputs() -> dict:

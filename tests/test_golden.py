@@ -1,4 +1,5 @@
-"""The committed golden outputs: every digested file and the paper's table.
+"""The committed golden outputs: every digested file, the paper's table and the
+fit on the clamp floor.
 
 A change that moves output bits regenerates tests/golden.json with
 ``python3 tests/golden.py --write`` and says in CHANGES.md which files
@@ -26,3 +27,4 @@ def test_outputs_match_golden_file():
     assert not moved, f"{len(moved)} files moved: {moved}"
     assert found["runs"].keys() == expected["runs"].keys()
     assert found["table"] == expected["table"]
+    assert found["floor_fit"] == expected["floor_fit"]
