@@ -24,6 +24,9 @@ No searched config that the gate accepts ends a fit on the clamp floor
 from the suite's generator (seed 12345), whose least-squares theta lies
 beyond the floor, so the fit ends on it after 200 solves.
 
+``--diff`` exits 1 when a digest or the floor fit moved or a run was added
+or removed, and 0 otherwise, so it can gate a change that keeps the bits.
+
 The table gives, per budget, each strategy's mean ``total_samples`` over
 the ten seeds, and on how many seeds fbs and fbc won more samples than
 each baseline.  A change that moves output bits regenerates the file, and
@@ -165,6 +168,8 @@ def diff(old: dict, new: dict) -> str:
     lines += [f"  {run}: {' '.join(kinds)}" for run, kinds in moved.items() if kinds]
     for label, a, b in (("added", new, old), ("removed", old, new)):
         lines.append(f"{label}: {', '.join(sorted(a['runs'].keys() - b['runs'].keys())) or 'none'}")
+    fields = [key for key, value in old["floor_fit"].items() if new["floor_fit"].get(key) != value]
+    lines.append(f"floor fit moved: {' '.join(fields) or 'none'}")
 
     mean = [out["table"]["mean_total_samples"] for out in (old, new)]
     names = list(mean[1][str(BUDGETS[0])])
@@ -182,6 +187,11 @@ def diff(old: dict, new: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def changed(old: dict, new: dict) -> bool:
+    """Whether a digest or the floor fit moved, or a run was added or removed."""
+    return old["runs"] != new["runs"] or old["floor_fit"] != new["floor_fit"]
+
+
 def main(argv) -> int:
     if argv == ["--child"]:
         print(json.dumps(outputs()))
@@ -191,8 +201,9 @@ def main(argv) -> int:
         return 2
     found = pinned_outputs()
     if argv == ["--diff"]:
-        sys.stdout.write(diff(json.loads(GOLDEN.read_text()), found))
-        return 0
+        old = json.loads(GOLDEN.read_text())
+        sys.stdout.write(diff(old, found))
+        return int(changed(old, found))
     text = json.dumps(found, indent=1, sort_keys=True) + "\n"
     if argv == ["--write"]:
         GOLDEN.write_text(text)
