@@ -84,13 +84,16 @@ def fit(Q: np.ndarray, y: np.ndarray, counts=None, max_iterations: int = 200) ->
     """
     if len(y) == 0:
         raise ValueError("history is empty; need at least one won record")
+
+    def state(theta):
+        """min(1 + Q theta), ``loss``, ``gradient`` and J^T J at theta."""
+        z, r, zw = _residuals(theta, Q, y, counts)
+        J = Q / zw[:, None]
+        return z.min(), 0.5 * float(r @ r), (r / zw) @ Q, J.T @ J
+
     theta = np.zeros(Q.shape[1])
-    _, r, zw = _residuals(theta, Q, y, counts)
-    cur = 0.5 * float(r @ r)
-    g = (r / zw) @ Q
+    _, cur, g, A = state(theta)
     g0 = float(np.linalg.norm(g))
-    J = Q / zw[:, None]
-    A = J.T @ J
     mu = 1e-3 * float(np.max(np.diag(A)))  # start close to Gauss-Newton
     eye = np.eye(len(theta))
     iterations = 0
@@ -103,12 +106,9 @@ def fit(Q: np.ndarray, y: np.ndarray, counts=None, max_iterations: int = 200) ->
             continue
         if np.array_equal(trial, theta):
             break  # the step is below theta's rounding: no step lowers the loss
-        z_trial, r_trial, zw_trial = _residuals(trial, Q, y, counts)
-        if z_trial.min() >= CLAMP_EPS and (trial_loss := 0.5 * float(r_trial @ r_trial)) < cur:
-            theta, r, zw, cur = trial, r_trial, zw_trial, trial_loss
-            g = (r / zw) @ Q
-            J = Q / zw[:, None]
-            A = J.T @ J
+        floor, trial_loss, trial_g, trial_A = state(trial)
+        if floor >= CLAMP_EPS and trial_loss < cur:
+            theta, cur, g, A = trial, trial_loss, trial_g, trial_A
             mu /= 3.0
         else:
             mu *= 2.0

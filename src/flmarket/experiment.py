@@ -4,11 +4,13 @@ Phase 1 (bootstrap): ``market.random_bid_history`` draws the warm-up
 markets, where every agent bids uniformly at random, from the bootstrap
 generator alone, as one auction history that all consumers share.
 Consumers that need utility estimates fit theta on the records they won;
-closed-form consumers also calibrate their win model and solve the budget
+closed-form consumers also calibrate their win model, keeping the
+``(c, at_edge)`` that ``calibrate_c`` returns, and solve the budget
 multiplier.
 
 Phase 2 (market): the competitive market runs once over the pool, then
-each consumer trains a FedAvg model on the owners it won.
+each consumer trains a FedAvg model on the owners it won, which
+``fltrain.evaluate`` scores on one test design matrix.
 
 Artifacts: a market CSV (one row per auction), a summary CSV (one row
 per agent), a calibration report and optional bar charts.
@@ -42,7 +44,6 @@ from .strategies import NEEDS_THETA, WIN_FORM, LambdaSolution, solve_lambda
 from .winmodel import (
     InsufficientDataError,
     WinningFunctionModel,
-    at_bracket_edge,
     calibrate_c,
     empirical_win_curve,
 )
@@ -104,34 +105,16 @@ def bootstrap_history(cfg: RunConfig, pool: np.ndarray, rng: np.random.Generator
         if form is not None:
             try:
                 curve = empirical_win_curve(history["bids"][:, j], won)
-                c = calibrate_c(curve, form)
+                c, cal.c_at_bracket_edge = calibrate_c(curve, form)
             except InsufficientDataError as exc:
                 raise ConfigurationError(
                     f"agent {spec.name} cannot calibrate its win model: {exc}"
                 ) from None
             cal.win_model = WinningFunctionModel(form, c)
-            cal.c_at_bracket_edge = at_bracket_edge(curve, c)
             samples = estimator.predict(cal.theta, Q)
             cal.lambda_solution = solve_lambda(samples, cal.win_model, cfg.scaled_budget(spec))
         calibration[spec.name] = cal
     return calibration
-
-
-def build_market_agents(cfg: RunConfig, calibration: dict) -> list:
-    agents = []
-    for spec in cfg.agents:
-        cal = calibration[spec.name]
-        agents.append(
-            ConsumerAgent(
-                name=spec.name,
-                strategy=spec.strategy,
-                budget=cfg.scaled_budget(spec),
-                theta=cal.theta,
-                win_model=cal.win_model,
-                lam=cal.lambda_solution.lam if cal.lambda_solution else 0.0,
-            )
-        )
-    return agents
 
 
 def train_federated(
@@ -144,7 +127,7 @@ def train_federated(
     """
     centers_rng, shard_rng, test_rng = rng.spawn(3)
     centers = fltrain.make_class_centers(centers_rng)
-    K = centers.shape[0]
+    K, d = centers.shape
     niid = cfg.partition == "niid"
     # one draw per pool row, in pool order, whether or not the owner is won
     class_support = [
@@ -152,13 +135,14 @@ def train_federated(
         for _ in range(len(pool))
     ]
     test_labels = test_rng.integers(0, K, 2000)
-    test_X = centers[test_labels] + test_rng.standard_normal((2000, centers.shape[1]))
+    test_design = np.ones((2000, d + 1))
+    test_design[:, :d] = centers[test_labels] + test_rng.standard_normal((2000, d))
+    w0 = np.zeros((K, d + 1))  # local_train copies it
 
     def train_owner(oid):
         _, num_samples, blurred, local_seed = pool[oid - 1].tolist()
         data = fltrain.synth_dataset(num_samples, blurred, centers, cfg.noise_rate_blurred,
                                      np.random.default_rng(local_seed), classes=class_support[oid - 1])
-        w0 = fltrain.zero_model(K, centers.shape[1])
         return fltrain.local_train(w0, data, local_epochs=cfg.local_epochs), num_samples
 
     winner, owner_id = result.outcomes["winner"], result.outcomes["owner_id"]
@@ -172,7 +156,7 @@ def train_federated(
         updates = executor.map(train_owner, [oid for ids in won for oid in ids])
         by_agent = [[next(updates) for _ in ids] for ids in won]
     return {
-        name: fltrain.evaluate(fltrain.fedavg(ups), test_X, test_labels) if ups else None
+        name: fltrain.evaluate(fltrain.fedavg(ups), test_design, test_labels) if ups else None
         for name, ups in zip(result.agent_names, by_agent)
     }
 
@@ -185,31 +169,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def market_csv_header(agent_names) -> list:
-    return (
-        ["auction_index", "owner_id", "num_samples"]
-        + [f"bid_{n}" for n in agent_names]
-        + ["winner", "clearing_price"]
-    )
-
-
-def summary_csv_header(partition: str) -> list:
-    return [
-        "agent",
-        "strategy",
-        "budget",
-        "total_samples",
-        "unit_price",
-        "spend",
-        f"accuracy_{partition}",
-    ]
-
-
 def write_market_csv(path, result: MarketResult):
     names = result.agent_names
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(market_csv_header(names))
+        w.writerow(["auction_index", "owner_id", "num_samples", *(f"bid_{n}" for n in names),
+                    "winner", "clearing_price"])
         out = result.outcomes
         columns = [out[c].tolist() for c in ("owner_id", "num_samples", "bids", "winner", "price")]
         for i, (oid, n, bids, winner, price) in enumerate(zip(*columns)):
@@ -221,7 +186,8 @@ def write_summary_csv(path, cfg: RunConfig, metrics: dict):
     specs = {a.name: a for a in cfg.agents}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(summary_csv_header(cfg.partition))
+        w.writerow(["agent", "strategy", "budget", "total_samples", "unit_price", "spend",
+                    f"accuracy_{cfg.partition}"])
         for name, m in metrics.items():
             spec = specs[name]
             w.writerow(
@@ -272,7 +238,12 @@ def run_experiment(cfg: RunConfig) -> RunArtifacts:
     ]
     pool = generate_do_pool(cfg.pool_size, cfg.sample_range, pool_rng)
     calibration = bootstrap_history(cfg, pool, boot_rng)
-    agents = build_market_agents(cfg, calibration)
+    agents = []
+    for spec in cfg.agents:
+        cal = calibration[spec.name]
+        lam = cal.lambda_solution.lam if cal.lambda_solution else 0.0
+        agents.append(ConsumerAgent(spec.name, spec.strategy, cfg.scaled_budget(spec),
+                                    theta=cal.theta, win_model=cal.win_model, lam=lam))
     result = run_market(agents, pool, market_rng)
     metrics = compute_metrics(result)
     if cfg.train_fl:

@@ -3,7 +3,8 @@
 Each owner holds a synthetic Gaussian-blob dataset (blurred owners get
 uniform label noise).  Every owner trains a softmax-regression model
 locally; the consumer aggregates with sample-weighted FedAvg and is
-scored by test-set accuracy.
+scored by test-set accuracy.  Data has one layout, the design matrix: the
+features, then a bias column of ones; ``local_train`` and ``evaluate`` take one.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ CENTER_SPREAD = 1.5
 class LocalDataset:
     design: np.ndarray  # (n, d + 1): the features, then a bias column of ones
     labels: np.ndarray  # (n,) ints in [0, K)
-
-    @property
-    def features(self) -> np.ndarray:
-        return self.design[:, :-1]
 
 
 def make_class_centers(
@@ -65,14 +62,6 @@ def synth_dataset(
     return LocalDataset(design=design, labels=labels)
 
 
-def _augment(X: np.ndarray) -> np.ndarray:
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
-def zero_model(num_classes: int = NUM_CLASSES, dim: int = FEATURE_DIM) -> np.ndarray:
-    return np.zeros((num_classes, dim + 1))
-
-
 def local_train(
     weights: np.ndarray,
     dataset: LocalDataset,
@@ -82,7 +71,7 @@ def local_train(
     """Full-batch gradient descent on softmax cross-entropy.
 
     Each step is ``w = w - lr * (softmax(Xa w^T) - onehot(y))^T Xa / n``
-    with Xa the features augmented by a bias column.  The softmax runs on
+    with Xa the dataset's design.  The softmax runs on
     a class-major (K, n) buffer, a few contiguous length-n operations per
     step, and its normaliser adds the K classes in index order, so the
     weights equal the ``cross_entropy_gradient`` loop bit for bit.  Buffers
@@ -131,10 +120,11 @@ def fedavg(updates: Sequence[tuple]) -> np.ndarray:
     return out
 
 
-def evaluate(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions (ties -> lowest class id)."""
+def evaluate(weights: np.ndarray, design: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of argmax-correct predictions on the rows of ``design``, the
+    features and then a bias column (ties -> lowest class id)."""
     if len(labels) == 0:
         raise ValueError("test set is empty")
-    preds = np.argmax(_augment(features) @ weights.T, axis=1)
+    preds = np.argmax(design @ weights.T, axis=1)
     return float(np.mean(preds == labels))
 

@@ -147,24 +147,15 @@ def calibration_slope(curve: tuple, form: WinForm, c: float) -> float:
     return float(2.0 * np.sum(count * (w - rate) * dw))
 
 
-def c_bracket(curve: tuple) -> tuple:
-    """The interval calibrate_c searches for c: [C_MIN, 10 * max bucket bid]."""
-    return C_MIN, 10.0 * float(np.max(curve[0]))
-
-
-def at_bracket_edge(curve: tuple, c: float) -> bool:
-    """Whether c is an end of ``c_bracket(curve)``: the slope does not change sign
-    inside it, so c is a bound on the best fit rather than the fit itself."""
-    return c in c_bracket(curve)
-
-
-def calibrate_c(curve: tuple, form: WinForm) -> float:
+def calibrate_c(curve: tuple, form: WinForm) -> tuple:
     """Fit the constant c by count-weighted least squares on the empirical curve.
 
     ``curve`` is the ``(mid_bid, win_rate, count)`` arrays of
-    ``empirical_win_curve``.  The largest c where ``calibration_slope`` is <= 0,
-    narrowed to adjacent floats in ``c_bracket(curve)``, or an end of it where
-    the slope does not change sign inside.
+    ``empirical_win_curve``.  Searches [C_MIN, 10 * max bucket bid] and
+    returns ``(c, at_edge)``: the largest c where ``calibration_slope`` is
+    <= 0, narrowed to adjacent floats, and False; or, where the slope does
+    not change sign inside the bracket, the end it points to and True, as
+    that c bounds the best fit rather than being it.
     """
     mid_bid, win_rate, _ = curve
     if len(mid_bid) < 2:
@@ -174,9 +165,9 @@ def calibrate_c(curve: tuple, form: WinForm) -> float:
             "degenerate win curve (all rates 0 or 1); widen bid exploration"
         )
     slope = lambda c: calibration_slope(curve, form, c)
-    lo, hi = c_bracket(curve)
+    lo, hi = C_MIN, 10.0 * float(np.max(mid_bid))
     if (g_lo := slope(lo)) > 0:
-        return lo
+        return lo, True
     if (g_hi := slope(hi)) <= 0:
-        return hi
-    return _regula_falsi(slope, lo, hi, g_lo, g_hi)[0]
+        return hi, True
+    return _regula_falsi(slope, lo, hi, g_lo, g_hi)[0], False

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flmarket import estimator as est
-from flmarket import fltrain
 
 
 def central_difference(f, x, h=1e-6):
@@ -91,19 +90,18 @@ def softmax(logits):
     return e / functools.reduce(np.add, e.T)[:, None]
 
 
-def cross_entropy(weights, X, y):
-    """Mean softmax cross-entropy of a (K, d + 1) model on features X and labels y."""
-    p = softmax(fltrain._augment(X) @ weights.T)
+def cross_entropy(weights, design, y):
+    """Mean softmax cross-entropy of a (K, d + 1) model on an (n, d + 1) design and labels y."""
+    p = softmax(design @ weights.T)
     return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300)))
 
 
-def cross_entropy_gradient(weights, X, y):
+def cross_entropy_gradient(weights, design, y):
     """Gradient of ``cross_entropy`` in the weights; local_train steps along it."""
-    Xa = fltrain._augment(X)
-    p = softmax(Xa @ weights.T)
+    p = softmax(design @ weights.T)
     onehot = np.zeros_like(p)
     onehot[np.arange(len(y)), y] = 1.0
-    return (p - onehot).T @ Xa / len(y)
+    return (p - onehot).T @ design / len(y)
 
 
 @pytest.fixture

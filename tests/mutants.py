@@ -63,8 +63,9 @@ MUTANTS = [
     Mutant("slope_sign", "src/flmarket/winmodel.py",
            "return float(2.0 * np.sum(", "return float(-2.0 * np.sum("),
     Mutant("edge_returns_swapped", "src/flmarket/winmodel.py",
-           "> 0:\n        return lo\n    if (g_hi := slope(hi)) <= 0:\n        return hi",
-           "> 0:\n        return hi\n    if (g_hi := slope(hi)) <= 0:\n        return lo"),
+           "> 0:\n        return lo, True\n    if (g_hi := slope(hi)) <= 0:\n        return hi, True",
+           "> 0:\n        return hi, True\n    if (g_hi := slope(hi)) <= 0:\n        return lo, True"),
+    Mutant("edge_flag_dropped", "src/flmarket/winmodel.py", "return lo, True", "return lo, False"),
     Mutant("plus_zero", "src/flmarket/winmodel.py",
            "mid_bid = 0.5 * (edges[:-1] + edges[1:])",
            "mid_bid = 0.5 * (edges[:-1] + edges[1:]) + 0.0",

@@ -22,8 +22,9 @@ SYNTH_DATASET, LOCAL_TRAIN, FEDAVG = fltrain.synth_dataset, fltrain.local_train,
 def blobs(rng, n=400, spread=4.0, num_classes=4, dim=3):
     centers = rng.normal(scale=spread, size=(num_classes, dim))
     y = rng.integers(0, num_classes, n)
-    X = centers[y] + rng.standard_normal((n, dim))
-    return LocalDataset(fltrain._augment(X), y), centers
+    design = np.ones((n, dim + 1))
+    design[:, :dim] = centers[y] + rng.standard_normal((n, dim))
+    return LocalDataset(design, y), centers
 
 
 class TestSynthDataset:
@@ -45,7 +46,7 @@ class TestSynthDataset:
         centers = fltrain.make_class_centers(np.random.default_rng(0))
         a = fltrain.synth_dataset(2000, True, centers, 0.4, np.random.default_rng(7))
         b = fltrain.synth_dataset(2000, True, centers, 0.4, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.design, b.design)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     @pytest.mark.parametrize("blurred,classes", [(False, None), (True, None), (True, [2, 7])])
@@ -56,7 +57,7 @@ class TestSynthDataset:
         data = fltrain.synth_dataset(700, blurred, centers, 0.4, np.random.default_rng(5), classes)
         rng = np.random.default_rng(5)
         labels = rng.choice(np.arange(10) if classes is None else classes, size=700)
-        np.testing.assert_array_equal(data.features, centers[labels] + rng.standard_normal((700, 8)))
+        np.testing.assert_array_equal(data.design[:, :-1], centers[labels] + rng.standard_normal((700, 8)))
         assert data.design.shape == (700, 9) and np.all(data.design[:, -1] == 1.0)
 
     def test_shard_restriction(self):
@@ -125,6 +126,7 @@ def sequential_train_federated(cfg, pool, result, rng):
     ]
     test_labels = test_rng.integers(0, K, 2000)
     test_X = centers[test_labels] + test_rng.standard_normal((2000, d))
+    test_design = np.hstack([test_X, np.ones((2000, 1))])
     out = {}
     for j, name in enumerate(result.agent_names):
         updates = []
@@ -132,8 +134,8 @@ def sequential_train_federated(cfg, pool, result, rng):
             _, n, blurred, seed = pool[oid - 1].tolist()
             data = SYNTH_DATASET(n, blurred, centers, cfg.noise_rate_blurred,
                                  np.random.default_rng(seed), classes=class_support[oid - 1])
-            updates.append((LOCAL_TRAIN(fltrain.zero_model(K, d), data, local_epochs=cfg.local_epochs), n))
-        accuracy = fltrain.evaluate(FEDAVG(updates), test_X, test_labels) if updates else None
+            updates.append((LOCAL_TRAIN(np.zeros((K, d + 1)), data, local_epochs=cfg.local_epochs), n))
+        accuracy = fltrain.evaluate(FEDAVG(updates), test_design, test_labels) if updates else None
         out[name] = accuracy, updates
     return out
 
@@ -230,22 +232,22 @@ class TestLocalTrain:
     def test_gradient_matches_finite_differences(self, rng):
         data, _ = blobs(rng, n=30)
         w = rng.standard_normal((4, 4)) * 0.1
-        g = cross_entropy_gradient(w, data.features, data.labels)
+        g = cross_entropy_gradient(w, data.design, data.labels)
         h = 1e-6
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
                 e = np.zeros_like(w)
                 e[i, j] = h
                 fd = (
-                    cross_entropy(w + e, data.features, data.labels)
-                    - cross_entropy(w - e, data.features, data.labels)
+                    cross_entropy(w + e, data.design, data.labels)
+                    - cross_entropy(w - e, data.design, data.labels)
                 ) / (2 * h)
                 assert g[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     @staticmethod
     def reference_train(w, data, steps, lr):
         for _ in range(steps):
-            w = w - lr * cross_entropy_gradient(w, data.features, data.labels)
+            w = w - lr * cross_entropy_gradient(w, data.design, data.labels)
         return w
 
     @pytest.mark.parametrize(
@@ -279,7 +281,7 @@ class TestLocalTrain:
         centers = fltrain.make_class_centers(rng, K, d)
         classes = None if classes is None else np.array(classes)
         data = fltrain.synth_dataset(n, blurred, centers, 0.4, rng, classes=classes)
-        w0 = fltrain.zero_model(K, d)
+        w0 = np.zeros((K, d + 1))
         np.testing.assert_array_equal(
             fltrain.local_train(w0, data, local_epochs=100, lr=0.05),
             self.reference_train(w0, data, 100, 0.05),
@@ -297,7 +299,7 @@ class TestLocalTrain:
             "rng = np.random.default_rng(3)\n"
             "centers = fltrain.make_class_centers(rng)\n"
             "data = fltrain.synth_dataset(500, True, centers, 0.4, rng)\n"
-            "w0 = fltrain.zero_model()\n"
+            "w0 = np.zeros((10, 9))\n"
             "np.testing.assert_array_equal(fltrain.local_train(w0, data, 20, 0.05),\n"
             "                              TestLocalTrain.reference_train(w0, data, 20, 0.05))\n"
         )
@@ -312,9 +314,9 @@ class TestLocalTrain:
             300, True, fltrain.make_class_centers(rng), 0.4, rng
         )
         w0 = 0.1 * rng.standard_normal((fltrain.NUM_CLASSES, fltrain.FEATURE_DIM + 1))
-        copies = w0.copy(), data.features.copy(), data.labels.copy()
+        copies = w0.copy(), data.design.copy(), data.labels.copy()
         w = fltrain.local_train(w0, data, 10, 0.05)
-        for before, after in zip(copies, (w0, data.features, data.labels)):
+        for before, after in zip(copies, (w0, data.design, data.labels)):
             np.testing.assert_array_equal(after, before)
         assert not np.shares_memory(w, w0)
 
@@ -323,20 +325,20 @@ class TestLocalTrain:
         with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError, match=r"non-finite weights at local step \d+"
         ):
-            fltrain.local_train(fltrain.zero_model(4, 3), data, local_epochs=10, lr=1e300)
+            fltrain.local_train(np.zeros((4, 4)), data, local_epochs=10, lr=1e300)
 
     def test_loss_decreases(self, rng):
         data, _ = blobs(rng)
-        w0 = fltrain.zero_model(4, 3)
+        w0 = np.zeros((4, 4))
         w = fltrain.local_train(w0, data, 100, 0.05)
-        assert cross_entropy(w, data.features, data.labels) < cross_entropy(
-            w0, data.features, data.labels
+        assert cross_entropy(w, data.design, data.labels) < cross_entropy(
+            w0, data.design, data.labels
         )
 
     def test_converged_accuracy_on_own_labels(self, rng):
         data, _ = blobs(rng, n=600, spread=5.0)
-        w = fltrain.local_train(fltrain.zero_model(4, 3), data, 500, 0.1)
-        assert fltrain.evaluate(w, data.features, data.labels) >= 0.95
+        w = fltrain.local_train(np.zeros((4, 4)), data, 500, 0.1)
+        assert fltrain.evaluate(w, data.design, data.labels) >= 0.95
 
 
 class TestFedAvg:
@@ -367,21 +369,22 @@ class TestEvaluate:
         w = np.zeros((K, d + 1))
         w[3, -1] = 10.0  # always predicts class 3
         y = np.tile(np.arange(K), n // K)
-        X = np.zeros((n, d))
-        assert fltrain.evaluate(w, X, y) == pytest.approx(1 / K)
+        design = np.zeros((n, d + 1))
+        design[:, -1] = 1.0
+        assert fltrain.evaluate(w, design, y) == pytest.approx(1 / K)
 
     def test_ordering_invariance(self, rng):
         data, centers = blobs(rng)
-        w = fltrain.local_train(fltrain.zero_model(4, 3), data, 50, 0.1)
+        w = fltrain.local_train(np.zeros((4, 4)), data, 50, 0.1)
         perm = rng.permutation(len(data.labels))
-        a = fltrain.evaluate(w, data.features, data.labels)
-        b = fltrain.evaluate(w, data.features[perm], data.labels[perm])
+        a = fltrain.evaluate(w, data.design, data.labels)
+        b = fltrain.evaluate(w, data.design[perm], data.labels[perm])
         assert a == b
 
     def test_in_unit_interval(self, rng):
         data, _ = blobs(rng)
         w = rng.standard_normal((4, 4))
-        assert 0.0 <= fltrain.evaluate(w, data.features, data.labels) <= 1.0
+        assert 0.0 <= fltrain.evaluate(w, data.design, data.labels) <= 1.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -389,16 +392,17 @@ def test_clean_cohort_beats_blurred_cohort(seed):
     rng = np.random.default_rng(seed)
     centers = fltrain.make_class_centers(rng)
     test_y = rng.integers(0, 10, 2000)
-    test_X = centers[test_y] + rng.standard_normal((2000, centers.shape[1]))
+    test_design = np.ones((2000, centers.shape[1] + 1))
+    test_design[:, :-1] = centers[test_y] + rng.standard_normal((2000, centers.shape[1]))
     sizes = rng.integers(1000, 4000, 4)
 
     def cohort_accuracy(blurred):
         updates = []
         for i, n in enumerate(sizes.tolist()):
             data = fltrain.synth_dataset(n, blurred, centers, 0.4, np.random.default_rng(seed * 100 + i))
-            w = fltrain.local_train(fltrain.zero_model(), data, 100, 0.05)
+            w = fltrain.local_train(np.zeros((fltrain.NUM_CLASSES, fltrain.FEATURE_DIM + 1)), data, 100, 0.05)
             updates.append((w, n))
-        return fltrain.evaluate(fltrain.fedavg(updates), test_X, test_y)
+        return fltrain.evaluate(fltrain.fedavg(updates), test_design, test_y)
 
     assert cohort_accuracy(False) >= cohort_accuracy(True)
 

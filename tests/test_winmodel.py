@@ -152,17 +152,17 @@ def calibration_curves():
 class TestCalibration:
     @pytest.mark.parametrize("form", list(WinForm))
     def test_exact_curve_recovery(self, form):
-        assert wm.calibrate_c(exact_curve(form, 2.3), form) == pytest.approx(2.3, abs=1e-4)
+        assert wm.calibrate_c(exact_curve(form, 2.3), form)[0] == pytest.approx(2.3, abs=1e-4)
 
     def test_monte_carlo_simple(self):
         rng = np.random.default_rng(11)
         curve = monte_carlo_curve(WinForm.SIMPLE, 2.0, 10_000, rng)
-        assert 1.9 <= wm.calibrate_c(curve, WinForm.SIMPLE) <= 2.1
+        assert 1.9 <= wm.calibrate_c(curve, WinForm.SIMPLE)[0] <= 2.1
 
     def test_monte_carlo_complex(self):
         rng = np.random.default_rng(12)
         curve = monte_carlo_curve(WinForm.COMPLEX, 1.5, 10_000, rng)
-        assert 1.42 <= wm.calibrate_c(curve, WinForm.COMPLEX) <= 1.58
+        assert 1.42 <= wm.calibrate_c(curve, WinForm.COMPLEX)[0] <= 1.58
 
     def test_degenerate_curve(self):
         with pytest.raises(wm.InsufficientDataError):
@@ -179,9 +179,8 @@ class TestCalibration:
     def test_bracket_edge_flag(self, form, c_true, edge):
         # the bracket is [1e-4, 10 * 5.0]; c_true beyond it pins c to an end
         curve = exact_curve(form, c_true)
-        assert wm.c_bracket(curve) == (1e-4, 50.0)
-        c = wm.calibrate_c(curve, form)
-        assert wm.at_bracket_edge(curve, c) is edge
+        c, at_edge = wm.calibrate_c(curve, form)
+        assert at_edge is edge
         if edge:
             assert c == (50.0 if c_true > 50.0 else 1e-4)
         else:
@@ -199,8 +198,8 @@ class TestCalibration:
     def test_c_ends_on_the_slope_sign_change(self):
         # c is the largest float in the bracket where the slope is <= 0
         for form, curve in calibration_curves():
-            c = wm.calibrate_c(curve, form)
-            assert not wm.at_bracket_edge(curve, c)
+            c, at_edge = wm.calibrate_c(curve, form)
+            assert at_edge is False
             above = np.nextafter(c, np.inf)
             assert wm.calibration_slope(curve, form, c) <= 0 < wm.calibration_slope(curve, form, above)
 
