@@ -10,7 +10,7 @@ multiplier.
 
 Phase 2 (market): the competitive market runs once over the pool, then
 each consumer trains a FedAvg model on the owners it won, which
-``fltrain.evaluate`` scores on one test design matrix.
+``fltrain.evaluate`` scores on one ``fltrain.synth_dataset`` test set.
 
 Artifacts: a market CSV (one row per auction), a summary CSV (one row
 per agent), a calibration report and optional bar charts.
@@ -67,6 +67,7 @@ class RunArtifacts:
     config: RunConfig
     result: MarketResult
     metrics: dict  # agent name -> AgentMetrics
+    accuracy: dict  # agent name -> FedAvg test accuracy, None if it won nothing; empty without FL
     calibration: dict  # agent name -> AgentCalibration
     market_csv: Path
     summary_csv: Path
@@ -122,8 +123,8 @@ def train_federated(
 ) -> dict:
     """Per-agent FedAvg over won owners; returns agent -> test accuracy.
 
-    Owners train on one thread per available CPU; no output bit depends on
-    how many there are.
+    The test set is 2,000 noise-free points of every class.  Owners train on
+    one thread per available CPU; no output bit depends on how many there are.
     """
     centers_rng, shard_rng, test_rng = rng.spawn(3)
     centers = fltrain.make_class_centers(centers_rng)
@@ -134,9 +135,7 @@ def train_federated(
         np.sort(shard_rng.choice(K, cfg.shards_per_owner, replace=False)) if niid else None
         for _ in range(len(pool))
     ]
-    test_labels = test_rng.integers(0, K, 2000)
-    test_design = np.ones((2000, d + 1))
-    test_design[:, :d] = centers[test_labels] + test_rng.standard_normal((2000, d))
+    test_set = fltrain.synth_dataset(2000, False, centers, 0.0, test_rng)
     w0 = np.zeros((K, d + 1))  # local_train copies it
 
     def train_owner(oid):
@@ -156,7 +155,7 @@ def train_federated(
         updates = executor.map(train_owner, [oid for ids in won for oid in ids])
         by_agent = [[next(updates) for _ in ids] for ids in won]
     return {
-        name: fltrain.evaluate(fltrain.fedavg(ups), test_design, test_labels) if ups else None
+        name: fltrain.evaluate(fltrain.fedavg(ups), test_set) if ups else None
         for name, ups in zip(result.agent_names, by_agent)
     }
 
@@ -182,7 +181,7 @@ def write_market_csv(path, result: MarketResult):
             w.writerow([i, oid, n, *cells, names[winner] if winner >= 0 else "", repr(price)])
 
 
-def write_summary_csv(path, cfg: RunConfig, metrics: dict):
+def write_summary_csv(path, cfg: RunConfig, metrics: dict, accuracy: dict):
     specs = {a.name: a for a in cfg.agents}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -198,7 +197,7 @@ def write_summary_csv(path, cfg: RunConfig, metrics: dict):
                     m.total_samples,
                     _fmt(m.unit_price_per_1000),
                     _fmt(m.spend),
-                    _fmt(m.fl_accuracy),
+                    _fmt(accuracy.get(name)),
                 ]
             )
 
@@ -246,9 +245,7 @@ def run_experiment(cfg: RunConfig) -> RunArtifacts:
                                     theta=cal.theta, win_model=cal.win_model, lam=lam))
     result = run_market(agents, pool, market_rng)
     metrics = compute_metrics(result)
-    if cfg.train_fl:
-        for name, accuracy in train_federated(cfg, pool, result, fl_rng).items():
-            metrics[name].fl_accuracy = accuracy
+    accuracy = train_federated(cfg, pool, result, fl_rng) if cfg.train_fl else {}
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,7 +254,7 @@ def run_experiment(cfg: RunConfig) -> RunArtifacts:
     summary_csv = out / f"summary_{tag}.csv"
     calibration_report = out / f"calibration_{tag}.json"
     write_market_csv(market_csv, result)
-    write_summary_csv(summary_csv, cfg, metrics)
+    write_summary_csv(summary_csv, cfg, metrics, accuracy)
     write_calibration_report(calibration_report, cfg, calibration)
     (out / f"config_echo_{tag}.json").write_text(
         json.dumps(echo_config(cfg), indent=2, sort_keys=True) + "\n"
@@ -266,6 +263,7 @@ def run_experiment(cfg: RunConfig) -> RunArtifacts:
         config=cfg,
         result=result,
         metrics=metrics,
+        accuracy=accuracy,
         calibration=calibration,
         market_csv=market_csv,
         summary_csv=summary_csv,

@@ -3,8 +3,9 @@
 Each owner holds a synthetic Gaussian-blob dataset (blurred owners get
 uniform label noise).  Every owner trains a softmax-regression model
 locally; the consumer aggregates with sample-weighted FedAvg and is
-scored by test-set accuracy.  Data has one layout, the design matrix: the
-features, then a bias column of ones; ``local_train`` and ``evaluate`` take one.
+scored by test-set accuracy.  Owners' data and the test set are ``synth_dataset``
+draws, each a ``LocalDataset`` of labels and a design matrix (the features, then
+a bias column of ones); ``local_train`` and ``evaluate`` take one.
 """
 
 from __future__ import annotations
@@ -120,11 +121,10 @@ def fedavg(updates: Sequence[tuple]) -> np.ndarray:
     return out
 
 
-def evaluate(weights: np.ndarray, design: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions on the rows of ``design``, the
-    features and then a bias column (ties -> lowest class id)."""
-    if len(labels) == 0:
+def evaluate(weights: np.ndarray, dataset: LocalDataset) -> float:
+    """Fraction of argmax-correct predictions on ``dataset`` (ties -> lowest class id)."""
+    if len(dataset.labels) == 0:
         raise ValueError("test set is empty")
-    preds = np.argmax(design @ weights.T, axis=1)
-    return float(np.mean(preds == labels))
+    preds = np.argmax(dataset.design @ weights.T, axis=1)
+    return float(np.mean(preds == dataset.labels))
 

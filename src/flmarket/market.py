@@ -70,7 +70,6 @@ class AgentMetrics:
     total_samples: int
     spend: float
     unit_price_per_1000: Optional[float]
-    fl_accuracy: Optional[float] = None
 
 
 def generate_do_pool(pool_size: int, sample_range: tuple, rng: np.random.Generator) -> np.ndarray:

@@ -56,6 +56,8 @@ MUTANTS = [
            "reversed(range(len(names)))"),
     Mutant("history_tie_takes_last", "src/flmarket/market.py", "reverse=True", "reverse=False"),
     Mutant("class_order_reversed", "src/flmarket/fltrain.py", "col += P[k]", "col += P[K - k]"),
+    Mutant("test_set_size", "src/flmarket/experiment.py",
+           "synth_dataset(2000,", "synth_dataset(1999,"),
     Mutant("regula_falsi_slow", "src/flmarket/winmodel.py", "slow < 4", "slow < 6"),
     Mutant("digitize_right", "src/flmarket/winmodel.py",
            "np.digitize(bids, edges[1:-1])", "np.digitize(bids, edges[1:-1], right=True)"),

@@ -179,8 +179,8 @@ def test_criterion_9_fl_accuracy_ordering(tmp_path):
                 master_seed=seed, partition=mode,
                 output_dir=str(tmp_path / f"{mode}{seed}"),
             )
-            for name, m in run_experiment(cfg).metrics.items():
-                acc.setdefault((mode, name), []).append(m.fl_accuracy)
+            for name, accuracy in run_experiment(cfg).accuracy.items():
+                acc.setdefault((mode, name), []).append(accuracy)
 
     def mean(mode, name):
         vals = [v for v in acc[(mode, name)] if v is not None]

@@ -73,7 +73,7 @@ class TestPartitionMode:
 
     @staticmethod
     def owner_classes(monkeypatch, **settings):
-        """Each of 12 won owners' classes, in pool order, and the consumer's accuracy."""
+        """Each of 12 won owners' classes and the consumer's accuracy."""
         cfg = config_from_mapping({"master_seed": 1, "pool_size": 12, "sample_range": [100, 200],
                                    "local_epochs": 3, **settings})
         pool = generate_do_pool(cfg.pool_size, cfg.sample_range, np.random.default_rng(5))
@@ -81,13 +81,16 @@ class TestPartitionMode:
         outcomes["owner_id"] = pool["id"]  # agent 0 wins every owner
         seen = []
 
-        def spy(*args, classes=None):
-            seen.append(classes)
-            return SYNTH_DATASET(*args, classes=classes)
+        def spy(num_samples, *args, classes=None):
+            seen.append((num_samples, classes))
+            return SYNTH_DATASET(num_samples, *args, classes=classes)
 
         monkeypatch.setattr(fltrain, "synth_dataset", spy)
         result = MarketResult(["a"], outcomes)
-        return seen, train_federated(cfg, pool, result, np.random.default_rng(2))["a"]
+        accuracy = train_federated(cfg, pool, result, np.random.default_rng(2))["a"]
+        # the test set is one draw of 2,000 points over every class; owners hold 100-200
+        assert [c for n, c in seen if n == 2000] == [None]
+        return [c for n, c in seen if n != 2000], accuracy
 
     def test_iid(self, monkeypatch):
         seen, _ = self.owner_classes(monkeypatch, partition="iid")
@@ -126,7 +129,7 @@ def sequential_train_federated(cfg, pool, result, rng):
     ]
     test_labels = test_rng.integers(0, K, 2000)
     test_X = centers[test_labels] + test_rng.standard_normal((2000, d))
-    test_design = np.hstack([test_X, np.ones((2000, 1))])
+    test_set = LocalDataset(np.hstack([test_X, np.ones((2000, 1))]), test_labels)
     out = {}
     for j, name in enumerate(result.agent_names):
         updates = []
@@ -135,7 +138,7 @@ def sequential_train_federated(cfg, pool, result, rng):
             data = SYNTH_DATASET(n, blurred, centers, cfg.noise_rate_blurred,
                                  np.random.default_rng(seed), classes=class_support[oid - 1])
             updates.append((LOCAL_TRAIN(np.zeros((K, d + 1)), data, local_epochs=cfg.local_epochs), n))
-        accuracy = fltrain.evaluate(FEDAVG(updates), test_design, test_labels) if updates else None
+        accuracy = fltrain.evaluate(FEDAVG(updates), test_set) if updates else None
         out[name] = accuracy, updates
     return out
 
@@ -338,7 +341,7 @@ class TestLocalTrain:
     def test_converged_accuracy_on_own_labels(self, rng):
         data, _ = blobs(rng, n=600, spread=5.0)
         w = fltrain.local_train(np.zeros((4, 4)), data, 500, 0.1)
-        assert fltrain.evaluate(w, data.design, data.labels) >= 0.95
+        assert fltrain.evaluate(w, data) >= 0.95
 
 
 class TestFedAvg:
@@ -371,20 +374,20 @@ class TestEvaluate:
         y = np.tile(np.arange(K), n // K)
         design = np.zeros((n, d + 1))
         design[:, -1] = 1.0
-        assert fltrain.evaluate(w, design, y) == pytest.approx(1 / K)
+        assert fltrain.evaluate(w, LocalDataset(design, y)) == pytest.approx(1 / K)
 
     def test_ordering_invariance(self, rng):
         data, centers = blobs(rng)
         w = fltrain.local_train(np.zeros((4, 4)), data, 50, 0.1)
         perm = rng.permutation(len(data.labels))
-        a = fltrain.evaluate(w, data.design, data.labels)
-        b = fltrain.evaluate(w, data.design[perm], data.labels[perm])
+        a = fltrain.evaluate(w, data)
+        b = fltrain.evaluate(w, LocalDataset(data.design[perm], data.labels[perm]))
         assert a == b
 
     def test_in_unit_interval(self, rng):
         data, _ = blobs(rng)
         w = rng.standard_normal((4, 4))
-        assert 0.0 <= fltrain.evaluate(w, data.design, data.labels) <= 1.0
+        assert 0.0 <= fltrain.evaluate(w, data) <= 1.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -402,7 +405,7 @@ def test_clean_cohort_beats_blurred_cohort(seed):
             data = fltrain.synth_dataset(n, blurred, centers, 0.4, np.random.default_rng(seed * 100 + i))
             w = fltrain.local_train(np.zeros((fltrain.NUM_CLASSES, fltrain.FEATURE_DIM + 1)), data, 100, 0.05)
             updates.append((w, n))
-        return fltrain.evaluate(fltrain.fedavg(updates), test_design, test_y)
+        return fltrain.evaluate(fltrain.fedavg(updates), LocalDataset(test_design, test_y))
 
     assert cohort_accuracy(False) >= cohort_accuracy(True)
 
