@@ -8,21 +8,24 @@ floor.
 
 The set is seeds 0-9 at budgets 50, 150 and 300 without FL, pool_size
 1,000 at seed 4 without FL, ten const agents with budgets 50, 100, ..., 500
-at seed 0 without FL (every bid ties until budgets run out), two more edges
-at seed 0 without FL (every owner holding 1,000,000 samples, so the
-size feature is constant and the fits are rank-deficient; and a pool of
-two owners), and three FL runs: seed 5 iid, seed 6 niid, and seed 7 niid
-with one class per owner and three local epochs.  It runs in one child
-process pinned to OpenBLAS's SSE3 (Prescott) kernels on one thread and to
-numpy's baseline (X86_V2) SIMD loops, so the bytes depend on the numpy and
+at seed 0 without FL (every bid ties until budgets run out), three more
+edges at seed 0 without FL (every owner holding 1,000,000 samples, so the
+size feature is constant and the fits are rank-deficient; a pool of two
+owners; and a pool of ten owners with one bootstrap round, whose fits
+predict 1 + theta.q as low as -4.55, so those predictions end on the clamp
+floor), and three FL runs: seed 5 iid, seed 6 niid, and seed 7 niid with
+one class per owner and three local epochs.  It runs in one child process
+pinned to OpenBLAS's SSE3 (Prescott) kernels on one thread and to numpy's
+baseline (X86_V2) SIMD loops, so the bytes depend on the numpy and
 OpenBLAS builds and not on the CPU.  The config echo is left out: it holds
 the output path.
 
 No searched config that the gate accepts ends a fit on the clamp floor
-(1 + theta.q at CLAMP_EPS), so the floor is pinned on the library: what
-``estimator.fit`` returns on ``make_history([-0.2, 0.5, -1.0], 20)`` drawn
-from the suite's generator (seed 12345), whose least-squares theta lies
-beyond the floor, so the fit ends on it after 200 solves.
+(1 + theta.q at CLAMP_EPS over the fit's own rows), so the fit's floor is
+pinned on the library: what ``estimator.fit`` returns on
+``make_history([-0.2, 0.5, -1.0], 20)`` drawn from the suite's generator
+(seed 12345), whose least-squares theta lies beyond the floor, so the fit
+ends on it after 200 solves.
 
 ``--diff`` exits 1 when a digest or the floor fit moved or a run was added
 or removed, and 0 otherwise, so it can gate a change that keeps the bits.
@@ -73,6 +76,8 @@ def runs() -> dict:
     # the size edges: one owner size for the whole pool, and the smallest pool
     out["samples1e6_seed0"] = dict(master_seed=0, sample_range=(10**6, 10**6), train_fl=False)
     out["pool2_seed0"] = dict(master_seed=0, pool_size=2, train_fl=False)
+    # the prediction floor: at seed 0 predict sees 1 + theta.q as low as -4.55
+    out["predict_floor_seed0"] = dict(master_seed=0, pool_size=10, bootstrap_rounds=1, train_fl=False)
     out["fl_iid_seed5"] = dict(master_seed=5, partition="iid")
     out["fl_niid_seed6"] = dict(master_seed=6, partition="niid")
     # the FL edge: one class per owner, three local steps

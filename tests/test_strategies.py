@@ -387,7 +387,7 @@ class TestRegulaFalsi:
             assert 0 < sol.iterations <= halvings
 
     def test_same_lambda_as_halving_on_the_runs(self, run_solves):
-        assert len(run_solves) == 66  # fbs and fbc in each of 33 runs; const agents solve none
+        assert len(run_solves) == 68  # fbs and fbc in each of 34 runs; const agents solve none
         for args in run_solves:
             sol = st.solve_lambda(*args)
             lam, halvings = lambda_by_halving(*args)
