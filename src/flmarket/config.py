@@ -29,10 +29,10 @@ array that all agents share: the bootstrap markets' outcome rows,
 bootstrap_rounds * pool_size of them.
 
 The config describes the experiment; the model's constants take no key
-and live as the library's defaults: the baselines' const_bid, rand_max
-and lin_coef in strategies.StrategyParams, the 20 bid buckets of
-winmodel.empirical_win_curve and the FedAvg step size lr=0.05 of
-fltrain.local_train.
+and are module constants: the baselines' CONST_BID, RAND_MAX and
+LIN_COEF in strategies, the fit's cap of estimator.MAX_SOLVES solves,
+the winmodel.NUM_BUCKETS bid buckets of the win curve and the FedAvg
+step size fltrain.LR.
 """
 
 from __future__ import annotations

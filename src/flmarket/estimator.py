@@ -20,6 +20,8 @@ CLAMP_EPS = 1e-6
 GRAD_REL_TARGET = 1e-9
 # and reports converged when the fraction is at most this
 CONVERGED_GRAD_REL = 1e-6
+# or stops after this many linear solves
+MAX_SOLVES = 200
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ def gradient(theta: np.ndarray, Q: np.ndarray, y: np.ndarray, counts=None) -> np
     return (r / zw) @ Q
 
 
-def fit(Q: np.ndarray, y: np.ndarray, counts=None, max_iterations: int = 200) -> FitResult:
+def fit(Q: np.ndarray, y: np.ndarray, counts=None) -> FitResult:
     """Least-squares theta on won records (Q, y) by Levenberg-Marquardt.
 
     ``Q`` holds one feature row per record, ``y`` its realized utility and
@@ -80,7 +82,7 @@ def fit(Q: np.ndarray, y: np.ndarray, counts=None, max_iterations: int = 200) ->
     accepted one divides mu by 3.  The fit stops when the gradient norm
     falls to GRAD_REL_TARGET of its norm at theta = 0, when a step no
     longer changes theta (no step can lower the loss), or after
-    ``max_iterations`` solves.
+    MAX_SOLVES solves.
     """
     if len(y) == 0:
         raise ValueError("history is empty; need at least one won record")
@@ -97,7 +99,7 @@ def fit(Q: np.ndarray, y: np.ndarray, counts=None, max_iterations: int = 200) ->
     mu = 1e-3 * float(np.max(np.diag(A)))  # start close to Gauss-Newton
     eye = np.eye(len(theta))
     iterations = 0
-    while iterations < max_iterations and np.linalg.norm(g) > GRAD_REL_TARGET * g0:
+    while iterations < MAX_SOLVES and np.linalg.norm(g) > GRAD_REL_TARGET * g0:
         iterations += 1
         try:
             trial = theta + np.linalg.solve(A + mu * eye, -g)

@@ -20,6 +20,7 @@ FEATURE_DIM = 8
 # moderate class overlap: accuracy sits below ceiling so data quality
 # and cohort composition show up in the final score
 CENTER_SPREAD = 1.5
+LR = 0.05  # local_train's gradient step
 
 
 @dataclass
@@ -28,10 +29,8 @@ class LocalDataset:
     labels: np.ndarray  # (n,) ints in [0, K)
 
 
-def make_class_centers(
-    rng: np.random.Generator, num_classes: int = NUM_CLASSES, dim: int = FEATURE_DIM
-) -> np.ndarray:
-    return rng.normal(scale=CENTER_SPREAD, size=(num_classes, dim))
+def make_class_centers(rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(scale=CENTER_SPREAD, size=(NUM_CLASSES, FEATURE_DIM))
 
 
 def synth_dataset(
@@ -63,15 +62,10 @@ def synth_dataset(
     return LocalDataset(design=design, labels=labels)
 
 
-def local_train(
-    weights: np.ndarray,
-    dataset: LocalDataset,
-    local_epochs: int = 100,
-    lr: float = 0.05,
-) -> np.ndarray:
-    """Full-batch gradient descent on softmax cross-entropy.
+def local_train(weights: np.ndarray, dataset: LocalDataset, local_epochs: int) -> np.ndarray:
+    """Full-batch gradient descent on softmax cross-entropy, ``local_epochs`` steps.
 
-    Each step is ``w = w - lr * (softmax(Xa w^T) - onehot(y))^T Xa / n``
+    Each step is ``w = w - LR * (softmax(Xa w^T) - onehot(y))^T Xa / n``
     with Xa the dataset's design.  The softmax runs on
     a class-major (K, n) buffer, a few contiguous length-n operations per
     step, and its normaliser adds the K classes in index order, so the
@@ -104,7 +98,7 @@ def local_train(
         P /= col
         np.subtract.at(flat, label_index, 1.0)
         np.copyto(by_row, P.T)
-        w = w - lr * (by_row.T @ Xa / n)
+        w = w - LR * (by_row.T @ Xa / n)
         if not np.all(np.isfinite(w)):
             raise FloatingPointError(f"non-finite weights at local step {step}")
     return w

@@ -13,7 +13,7 @@ one column per agent up front and then clears the rows one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from . import estimator
 from .strategies import (
     Strategy,
-    StrategyParams,
     bid_bmub,
     bid_const,
     bid_lin,
@@ -38,14 +37,13 @@ POOL_DTYPE = np.dtype([("id", np.int64), ("num_samples", np.int64),
 
 @dataclass
 class ConsumerAgent:
-    """One data consumer: a plain record of the config's values, the strategy's
-    constants (``params``, the library defaults unless a caller varies them)
-    and the values solve_lambda returns.  No field is checked here."""
+    """One data consumer: a plain record of the config's values and the values
+    solve_lambda returns.  No field is checked here; the baselines bid the
+    module constants of ``strategies``."""
 
     name: str
     strategy: Strategy
     budget: float
-    params: StrategyParams = field(default_factory=StrategyParams)
     theta: Optional[np.ndarray] = None
     win_model: Optional[WinningFunctionModel] = None
     lam: float = 0.0
@@ -99,14 +97,14 @@ def _raw_bids(agent: ConsumerAgent, Q: np.ndarray, rng: np.random.Generator) -> 
     """The agent's bid on every request (rows of ``Q``) before budget clamping."""
     st = agent.strategy
     if st is Strategy.CONST:
-        return bid_const(agent.params, len(Q))
+        return bid_const(len(Q))
     if st is Strategy.RAND:
-        return bid_rand(agent.params, rng, len(Q))
+        return bid_rand(rng, len(Q))
     s = estimator.predict(agent.theta, Q)
     if st is Strategy.BMUB:
         return bid_bmub(s, rng)
     if st is Strategy.LIN:
-        return bid_lin(s, agent.params)
+        return bid_lin(s)
     return closed_form_bid(s, agent.win_model, agent.lam)
 
 
@@ -175,7 +173,7 @@ def random_bid_history(names: Sequence[str], pool: np.ndarray, rng: np.random.Ge
     order = rng.permuted(np.tile(np.arange(n), (rounds, 1)), axis=1).ravel()
     out["owner_id"], out["num_samples"] = pool["id"][order], pool["num_samples"][order]
     for rows in out.reshape(rounds, n):  # the bits of one block draw, without its copy
-        rows["bids"] = bid_rand(StrategyParams(), rng, n * len(names)).reshape(n, -1)
+        rows["bids"] = bid_rand(rng, n * len(names)).reshape(n, -1)
     bids, best = out["bids"], out["price"]
     for column in bids.T:  # the top positive bid, or 0: max is exact in any order
         np.maximum(best, column, out=best)

@@ -35,16 +35,10 @@ class Strategy(str, Enum):
 NEEDS_THETA = (Strategy.BMUB, Strategy.LIN, Strategy.FBS, Strategy.FBC)  # bid from s(q)
 WIN_FORM = {Strategy.FBS: WinForm.SIMPLE, Strategy.FBC: WinForm.COMPLEX}  # the closed forms' models
 
-
-@dataclass
-class StrategyParams:
-    """The baselines' constants.  The config takes no key for them, so these
-    defaults are the values every run uses; a caller may vary them per agent.
-    No value is checked here."""
-
-    const_bid: float = 0.5
-    rand_max: float = 1.0
-    lin_coef: float = 0.5
+# the baselines' constants: the config takes no key for them
+CONST_BID = 0.5  # the constant bid
+RAND_MAX = 1.0  # random bids are uniform on (0, RAND_MAX]
+LIN_COEF = 0.5  # the linear bid's slope in estimated utility
 
 
 @dataclass
@@ -59,13 +53,13 @@ class LambdaSolution:
 # agent's stream, in request order; bmub draws nothing where s <= 0.
 
 
-def bid_const(params: StrategyParams, n: int) -> np.ndarray:
-    return np.full(n, float(params.const_bid))
+def bid_const(n: int) -> np.ndarray:
+    return np.full(n, CONST_BID)
 
 
-def bid_rand(params: StrategyParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    # uniform on (0, rand_max]
-    return params.rand_max - rng.uniform(0.0, params.rand_max, n)
+def bid_rand(rng: np.random.Generator, n: int) -> np.ndarray:
+    # uniform on (0, RAND_MAX]
+    return RAND_MAX - rng.uniform(0.0, RAND_MAX, n)
 
 
 def bid_bmub(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -76,8 +70,8 @@ def bid_bmub(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return b
 
 
-def bid_lin(s: np.ndarray, params: StrategyParams) -> np.ndarray:
-    return params.lin_coef * np.maximum(s, 0.0)
+def bid_lin(s: np.ndarray) -> np.ndarray:
+    return LIN_COEF * np.maximum(s, 0.0)
 
 
 def _check_closed_form_args(s: np.ndarray, c, lam):

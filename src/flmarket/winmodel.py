@@ -68,11 +68,14 @@ def win_prob_derivative(model: WinningFunctionModel, b):
     return float(d) if d.ndim == 0 else d
 
 
-def empirical_win_curve(bids, won, num_buckets: int = 20) -> tuple:
+NUM_BUCKETS = 20  # equal-width bid buckets of the empirical win curve
+
+
+def empirical_win_curve(bids, won) -> tuple:
     """Bucket past bids and their outcomes into an empirical win-rate curve.
 
     ``bids`` and ``won`` are equal-length arrays, one entry per auction.
-    ``num_buckets`` >= 2 equal-width bid buckets over [0, max bid]; empty ones omitted.
+    NUM_BUCKETS equal-width bid buckets over [0, max bid]; empty ones omitted.
     Returns the ``(mid_bid, win_rate, count)`` arrays of the other buckets.
     """
     bids = np.asarray(bids, dtype=float)
@@ -81,11 +84,11 @@ def empirical_win_curve(bids, won, num_buckets: int = 20) -> tuple:
     hi = bids.max()
     if hi <= 0:
         raise InsufficientDataError("all historical bids are zero")
-    edges = np.linspace(0.0, hi, num_buckets + 1)
+    edges = np.linspace(0.0, hi, NUM_BUCKETS + 1)
     # against the inner edges, b == hi falls into the last bucket
     idx = np.digitize(bids, edges[1:-1])
-    count = np.bincount(idx, minlength=num_buckets)
-    won_count = np.bincount(idx, weights=won, minlength=num_buckets)
+    count = np.bincount(idx, minlength=NUM_BUCKETS)
+    won_count = np.bincount(idx, weights=won, minlength=NUM_BUCKETS)
     keep = count > 0
     mid_bid = 0.5 * (edges[:-1] + edges[1:])
     return mid_bid[keep], won_count[keep] / count[keep], count[keep]

@@ -109,7 +109,7 @@ def test_criterion_6_calibration_recovery():
             model = WinningFunctionModel(form, c_star)
             bids = rng.uniform(0.0, 5.0 * c_star, 10_000)
             wins = rng.random(10_000) < wm.win_prob(model, bids)
-            c_hat, _ = wm.calibrate_c(wm.empirical_win_curve(bids, wins, 20), form)
+            c_hat, _ = wm.calibrate_c(wm.empirical_win_curve(bids, wins), form)
             if abs(c_hat - c_star) <= 0.05 * c_star:
                 hits += 1
         results[form.value] = hits

@@ -114,16 +114,18 @@ class TestFit:
         assert result.converged
         assert est.predict(result.theta, q) == pytest.approx(0.8, abs=1e-3)
 
-    def test_zero_epochs(self, rng):
+    def test_zero_epochs(self, rng, monkeypatch):
         # a cap of 0 solves returns theta = 0 unfitted
         Q, y = make_history([0.3, 0.6, 0.9], 5, rng)
-        zero = est.fit(Q, y, max_iterations=0)
+        monkeypatch.setattr(est, "MAX_SOLVES", 0)
+        zero = est.fit(Q, y)
         np.testing.assert_array_equal(zero.theta, np.zeros(3))
         assert (zero.iterations, zero.grad_rel, zero.converged) == (0, 1.0, False)
 
-    def test_iteration_cap_reports_not_converged(self, rng):
+    def test_iteration_cap_reports_not_converged(self, rng, monkeypatch):
         Q, y = make_history([0.3, 0.6, 0.9], 5, rng)
-        one = est.fit(Q, y, max_iterations=1)
+        monkeypatch.setattr(est, "MAX_SOLVES", 1)
+        one = est.fit(Q, y)
         assert one.iterations == 1 and not one.converged
         assert one.loss <= est.loss(np.zeros(3), Q, y)
 
@@ -155,13 +157,16 @@ class TestFit:
         assert min(1.0 + Q @ result.theta) >= est.CLAMP_EPS
         assert result.loss <= est.loss(np.zeros(3), Q, y)
 
-    def test_each_accepted_step_lowers_the_loss(self):
+    def test_each_accepted_step_lowers_the_loss(self, monkeypatch):
         # noisy labels make some undamped steps overshoot; those must be rejected
         rng = np.random.default_rng(5)
         for _ in range(20):
             Q, y = make_history(rng.uniform(-1, 3, 3), 30, rng)
             y = y + rng.normal(0, 2.0, len(y))
-            losses = [est.fit(Q, y, max_iterations=k).loss for k in range(30)]
+            losses = []
+            for k in range(30):
+                monkeypatch.setattr(est, "MAX_SOLVES", k)
+                losses.append(est.fit(Q, y).loss)
             assert all(b <= a for a, b in zip(losses, losses[1:]))
 
     def test_zero_gradient_at_start(self):
@@ -193,9 +198,10 @@ class TestFit:
             "theta_star6-500-0.05-theta = 0",
         ],
     )
-    def test_bit_identical_to_reference_loop(self, rng, theta_star, rows, max_iterations):
+    def test_bit_identical_to_reference_loop(self, rng, monkeypatch, theta_star, rows, max_iterations):
         Q, y = make_history(theta_star, rows, rng)
-        result = est.fit(Q, y, max_iterations=max_iterations)
+        monkeypatch.setattr(est, "MAX_SOLVES", max_iterations)
+        result = est.fit(Q, y)
         theta, iterations, loss, grad_rel = reference_lm_fit(Q, y, max_iterations)
         np.testing.assert_array_equal(result.theta, theta)
         assert (result.iterations, result.loss, result.grad_rel) == (iterations, loss, grad_rel)
@@ -213,7 +219,8 @@ class TestFit:
 
         Q, y = make_history([0.5, 1.0, 2.0], 20, rng)
         monkeypatch.setattr(np.linalg, "solve", singular)
-        result = est.fit(Q, y, max_iterations=7)
+        monkeypatch.setattr(est, "MAX_SOLVES", 7)
+        result = est.fit(Q, y)
         np.testing.assert_array_equal(result.theta, np.zeros(3))
         assert (result.iterations, result.loss, result.converged) == (7, est.loss(np.zeros(3), Q, y), False)
 

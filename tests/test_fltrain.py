@@ -230,7 +230,7 @@ class TestLocalTrain:
     def test_zero_epochs(self, rng):
         data, _ = blobs(rng)
         w0 = rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(fltrain.local_train(w0, data, 0, 0.1), w0)
+        np.testing.assert_array_equal(fltrain.local_train(w0, data, 0), w0)
 
     def test_gradient_matches_finite_differences(self, rng):
         data, _ = blobs(rng, n=30)
@@ -281,12 +281,12 @@ class TestLocalTrain:
         ],
     )
     def test_bit_identical_to_gradient_loop(self, rng, K, d, n, classes, blurred):
-        centers = fltrain.make_class_centers(rng, K, d)
+        centers = rng.normal(scale=fltrain.CENTER_SPREAD, size=(K, d))  # make_class_centers' draw
         classes = None if classes is None else np.array(classes)
         data = fltrain.synth_dataset(n, blurred, centers, 0.4, rng, classes=classes)
         w0 = np.zeros((K, d + 1))
         np.testing.assert_array_equal(
-            fltrain.local_train(w0, data, local_epochs=100, lr=0.05),
+            fltrain.local_train(w0, data, local_epochs=100),
             self.reference_train(w0, data, 100, 0.05),
         )
 
@@ -303,7 +303,7 @@ class TestLocalTrain:
             "centers = fltrain.make_class_centers(rng)\n"
             "data = fltrain.synth_dataset(500, True, centers, 0.4, rng)\n"
             "w0 = np.zeros((10, 9))\n"
-            "np.testing.assert_array_equal(fltrain.local_train(w0, data, 20, 0.05),\n"
+            "np.testing.assert_array_equal(fltrain.local_train(w0, data, 20),\n"
             "                              TestLocalTrain.reference_train(w0, data, 20, 0.05))\n"
         )
         here = Path(__file__).resolve().parent
@@ -318,29 +318,31 @@ class TestLocalTrain:
         )
         w0 = 0.1 * rng.standard_normal((fltrain.NUM_CLASSES, fltrain.FEATURE_DIM + 1))
         copies = w0.copy(), data.design.copy(), data.labels.copy()
-        w = fltrain.local_train(w0, data, 10, 0.05)
+        w = fltrain.local_train(w0, data, 10)
         for before, after in zip(copies, (w0, data.design, data.labels)):
             np.testing.assert_array_equal(after, before)
         assert not np.shares_memory(w, w0)
 
-    def test_non_finite_weights_name_the_step(self, rng):
+    def test_non_finite_weights_name_the_step(self, rng, monkeypatch):
         data, _ = blobs(rng, n=50, spread=1e150)
+        monkeypatch.setattr(fltrain, "LR", 1e300)
         with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError, match=r"non-finite weights at local step \d+"
         ):
-            fltrain.local_train(np.zeros((4, 4)), data, local_epochs=10, lr=1e300)
+            fltrain.local_train(np.zeros((4, 4)), data, local_epochs=10)
 
     def test_loss_decreases(self, rng):
         data, _ = blobs(rng)
         w0 = np.zeros((4, 4))
-        w = fltrain.local_train(w0, data, 100, 0.05)
+        w = fltrain.local_train(w0, data, 100)
         assert cross_entropy(w, data.design, data.labels) < cross_entropy(
             w0, data.design, data.labels
         )
 
-    def test_converged_accuracy_on_own_labels(self, rng):
+    def test_converged_accuracy_on_own_labels(self, rng, monkeypatch):
         data, _ = blobs(rng, n=600, spread=5.0)
-        w = fltrain.local_train(np.zeros((4, 4)), data, 500, 0.1)
+        monkeypatch.setattr(fltrain, "LR", 0.1)
+        w = fltrain.local_train(np.zeros((4, 4)), data, 500)
         assert fltrain.evaluate(w, data) >= 0.95
 
 
@@ -378,7 +380,7 @@ class TestEvaluate:
 
     def test_ordering_invariance(self, rng):
         data, centers = blobs(rng)
-        w = fltrain.local_train(np.zeros((4, 4)), data, 50, 0.1)
+        w = fltrain.local_train(np.zeros((4, 4)), data, 50)
         perm = rng.permutation(len(data.labels))
         a = fltrain.evaluate(w, data)
         b = fltrain.evaluate(w, LocalDataset(data.design[perm], data.labels[perm]))
@@ -403,7 +405,7 @@ def test_clean_cohort_beats_blurred_cohort(seed):
         updates = []
         for i, n in enumerate(sizes.tolist()):
             data = fltrain.synth_dataset(n, blurred, centers, 0.4, np.random.default_rng(seed * 100 + i))
-            w = fltrain.local_train(np.zeros((fltrain.NUM_CLASSES, fltrain.FEATURE_DIM + 1)), data, 100, 0.05)
+            w = fltrain.local_train(np.zeros((fltrain.NUM_CLASSES, fltrain.FEATURE_DIM + 1)), data, 100)
             updates.append((w, n))
         return fltrain.evaluate(fltrain.fedavg(updates), LocalDataset(test_design, test_y))
 

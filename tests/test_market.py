@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from flmarket.market import (
     request_features,
     run_market,
 )
-from flmarket.strategies import WIN_FORM, Strategy, StrategyParams
+from flmarket.strategies import WIN_FORM, Strategy
 from flmarket.winmodel import WinForm, WinningFunctionModel
 
 from conftest import row_predict_bound
@@ -29,41 +30,73 @@ from conftest import row_predict_bound
 ROW_PREDICT = est.predict  # the one-request form, kept while a test patches est.predict
 
 
-def const_agent(name="a", budget=1.0, bid=0.6):
-    return ConsumerAgent(
-        name=name,
-        strategy=Strategy.CONST,
-        budget=budget,
-        params=StrategyParams(const_bid=bid),
-    )
+def const_agent(name="a", budget=1.0):
+    return ConsumerAgent(name, Strategy.CONST, budget)
 
 
-def rand_agent(name, budget, rand_max=1.0):
-    return ConsumerAgent(name, Strategy.RAND, budget, params=StrategyParams(rand_max=rand_max))
+def rand_agent(name, budget):
+    return ConsumerAgent(name, Strategy.RAND, budget)
+
+
+# a baseline strategy's module constant, and the function of market that bids it
+BASELINE_CONSTANT = {
+    Strategy.CONST: ("CONST_BID", "bid_const"),
+    Strategy.RAND: ("RAND_MAX", "bid_rand"),
+    Strategy.LIN: ("LIN_COEF", "bid_lin"),
+}
+
+
+def baseline_value(agent, values):
+    """The constant a const, rand or lin agent bids with: ``values[name]``, or the module's."""
+    return values.get(agent.name, getattr(st, BASELINE_CONSTANT[agent.strategy][0]))
+
+
+def bid_per_agent(monkeypatch, agents, values):
+    """Make each baseline agent named in ``values`` bid with its own constant.
+
+    ``values`` maps a const, rand or lin agent's name to its CONST_BID, RAND_MAX or LIN_COEF.
+    run_market asks for one bid column per agent, in agent order, so a fake of market's
+    bid function sets the module constant to the next agent's value for one call and bids
+    as the library does; each market starts the order again.
+    """
+    def fake(bid, constant, names):
+        def call(*args):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(st, constant, baseline_value(by_name[next(names)], values))
+                return bid(*args)
+        return call
+
+    by_name = {a.name: a for a in agents}
+    for strategy in {by_name[name].strategy for name in values}:
+        constant, bid = BASELINE_CONSTANT[strategy]
+        names = itertools.cycle([a.name for a in agents if a.strategy is strategy])
+        monkeypatch.setattr(market, bid, fake(getattr(market, bid), constant, names))
 
 
 def winner_names(result):
     return [result.agent_names[j] if j >= 0 else None for j in result.outcomes["winner"]]
 
 
-def scalar_raw_bid(agent, q, rng):
+def scalar_raw_bid(agent, q, rng, values):
     """One agent's bid on one request, drawn as the per-auction market did."""
-    p = agent.params
     if agent.strategy is Strategy.CONST:
-        return p.const_bid
+        return baseline_value(agent, values)
     if agent.strategy is Strategy.RAND:
-        return p.rand_max - float(rng.uniform(0.0, p.rand_max))
+        rand_max = baseline_value(agent, values)
+        return rand_max - float(rng.uniform(0.0, rand_max))
     s = ROW_PREDICT(agent.theta, q)
     if agent.strategy is Strategy.BMUB:
         return 0.0 if s <= 0 else s - float(rng.uniform(0.0, s))
     if agent.strategy is Strategy.LIN:
-        return p.lin_coef * max(s, 0.0)
+        return baseline_value(agent, values) * max(s, 0.0)
     bid = st.bid_fbs if agent.strategy is Strategy.FBS else st.bid_fbc
     return bid(max(s, 0.0), agent.win_model.c, agent.lam)
 
 
-def reference_market(agents, pool, rng):
-    """The per-auction market: a feature row, a dict of bids and one clearing per request."""
+def reference_market(agents, pool, rng, values=None):
+    """The per-auction market: a feature row, a dict of bids and one clearing per request.
+
+    ``values`` gives baseline agents their own constants, as in ``bid_per_agent``."""
     names = [a.name for a in agents]
     order_rng, tie_rng, *agent_rngs = rng.spawn(2 + len(agents))
     remaining = {a.name: a.budget for a in agents}
@@ -73,7 +106,7 @@ def reference_market(agents, pool, rng):
         q = np.array([1.0, oid / len(pool), num_samples / 10000.0])
         bids = {}
         for agent, arng in zip(agents, agent_rngs):
-            raw = scalar_raw_bid(agent, q, arng)
+            raw = scalar_raw_bid(agent, q, arng, values or {})
             if remaining[agent.name] > 0:
                 bids[agent.name] = min(raw, remaining[agent.name])
         positive = {n: b for n, b in bids.items() if b > 0}
@@ -105,9 +138,9 @@ def scalar_clear(raw, budgets, names, tie_rng):
     return bids, winner, price
 
 
-def same_as_reference(agents, pool, seed):
+def same_as_reference(agents, pool, seed, values=None):
     """The market's outcomes, after checking that they have the bits of ``reference_market``'s."""
-    expected = reference_market(agents, pool, np.random.default_rng(seed))
+    expected = reference_market(agents, pool, np.random.default_rng(seed), values)
     got = run_market(agents, pool, np.random.default_rng(seed)).outcomes
     assert got.tobytes() == expected.tobytes()
     return got
@@ -116,27 +149,35 @@ def same_as_reference(agents, pool, seed):
 def random_agents(seed, strategies):
     """One agent per strategy plus two more, in random order; sorted names run backwards.
 
-    Every const agent bids the same, so exact ties reach the tie draw.
+    Returns the agents and the baseline agents' own constants, for ``bid_per_agent``:
+    every const agent bids the same, so exact ties reach the tie draw, and each rand
+    and lin agent draws its own.
     """
     g = np.random.default_rng(seed)
     kinds = list(strategies) + [strategies[i] for i in g.integers(len(strategies), size=2)]
     kinds = [kinds[i] for i in g.permutation(len(kinds))]
     const_bid = float(g.choice([0.3, 0.5]))
-    agents = []
+    agents, values = [], {}
     for i, kind in enumerate(kinds):
+        name = f"{'zyxwvutsrq'[i]}_{kind.value}"
+        budget = float(g.uniform(0.3, 3.0))
+        # every agent draws a rand_max and a lin_coef, so later draws do not depend on its kind
+        own = {Strategy.CONST: const_bid, Strategy.RAND: float(g.uniform(0.1, 1.0)),
+               Strategy.LIN: float(g.uniform(0.2, 1.5))}
+        if kind in own:
+            values[name] = own[kind]
         form = WIN_FORM.get(kind, WinForm.COMPLEX)  # only fbs and fbc read it
         agents.append(
             ConsumerAgent(
-                name=f"{'zyxwvutsrq'[i]}_{kind.value}",
+                name=name,
                 strategy=kind,
-                budget=float(g.uniform(0.3, 3.0)),
-                params=StrategyParams(const_bid, float(g.uniform(0.1, 1.0)), float(g.uniform(0.2, 1.5))),
+                budget=budget,
                 theta=g.uniform(-0.6, 1.5, 3),
                 win_model=WinningFunctionModel(form, float(g.uniform(0.1, 2.0))),
                 lam=float(g.uniform(0.0, 3.0)),
             )
         )
-    return agents
+    return agents, values
 
 
 class TestConsumerAgent:
@@ -144,26 +185,35 @@ class TestConsumerAgent:
         # the bootstrap history has the bits of rand agents with unlimited budgets
         assert ConsumerAgent("a", Strategy.RAND, math.inf).budget == math.inf
 
-    def test_values_the_config_rejects_win_nothing(self):
-        # ConsumerAgent is a plain record; the market still keeps such agents out
-        pool = generate_do_pool(40, (1000, 10000), np.random.default_rng(3))
-        theta, fbs = np.array([0.5, 0.2, 0.3]), WinningFunctionModel(WinForm.SIMPLE, 0.5)
-        out = [
-            const_agent("zero", 0.0),
-            const_agent("negative", -1.0),
-            const_agent("nan", math.nan),
-            const_agent("free", 5.0, bid=0.0),
-            ConsumerAgent("neg_lin", Strategy.LIN, 5.0, StrategyParams(lin_coef=-1.0), theta),
-            ConsumerAgent("nan_lam", Strategy.FBS, 5.0, theta=theta, win_model=fbs, lam=math.nan),
-        ]
-        metrics = compute_metrics(run_market([rand_agent("valid", 3.0), *out], pool,
+    POOL = generate_do_pool(40, (1000, 10000), np.random.default_rng(3))
+
+    def assert_win_nothing(self, out):
+        """``out`` wins nothing and spends nothing beside a valid rand agent, which wins."""
+        metrics = compute_metrics(run_market([rand_agent("valid", 3.0), *out], self.POOL,
                                              np.random.default_rng(0)))
         assert metrics["valid"].num_owners_won > 0
         assert all(metrics[a.name].num_owners_won == 0 == metrics[a.name].spend for a in out)
+
+    def test_budgets_the_config_rejects_win_nothing(self):
+        # ConsumerAgent is a plain record; the market still keeps such agents out.
+        # Each bids the positive CONST_BID, so its budget alone keeps it out.
+        self.assert_win_nothing([const_agent("zero", 0.0), const_agent("negative", -1.0),
+                                 const_agent("nan", math.nan)])
+
+    def test_bids_that_are_not_positive_win_nothing(self, monkeypatch):
+        # each agent has a valid budget, so its bid alone keeps it out: 0, negative or NaN
+        theta, fbs = np.array([0.5, 0.2, 0.3]), WinningFunctionModel(WinForm.SIMPLE, 0.5)
+        monkeypatch.setattr(st, "CONST_BID", 0.0)
+        monkeypatch.setattr(st, "LIN_COEF", -1.0)
+        self.assert_win_nothing([
+            const_agent("free", 5.0),
+            ConsumerAgent("neg_lin", Strategy.LIN, 5.0, theta=theta),
+            ConsumerAgent("nan_lam", Strategy.FBS, 5.0, theta=theta, win_model=fbs, lam=math.nan),
+        ])
         # a negative lambda is still refused where the closed forms are evaluated
         negative = ConsumerAgent("neg_lam", Strategy.FBS, 5.0, theta=theta, win_model=fbs, lam=-1.0)
         with pytest.raises(ValueError, match="lambda=-1.0"):
-            run_market([rand_agent("valid", 3.0), negative], pool, np.random.default_rng(0))
+            run_market([rand_agent("valid", 3.0), negative], self.POOL, np.random.default_rng(0))
 
 
 class TestBidRequest:
@@ -242,9 +292,10 @@ class TestPool:
 class TestAuction:
     """Clearing: the highest positive bid wins and pays its bid."""
 
-    def test_strict_max(self):
+    def test_strict_max(self, monkeypatch):
         pool = generate_do_pool(3, (5, 5), np.random.default_rng(0))
-        agents = [const_agent("A", 10.0, 0.5), const_agent("B", 10.0, 0.8)]
+        agents = [const_agent("A", 10.0), const_agent("B", 10.0)]
+        bid_per_agent(monkeypatch, agents, {"A": 0.5, "B": 0.8})
         result = run_market(agents, pool, np.random.default_rng(0))
         assert winner_names(result) == ["B"] * 3
         assert result.outcomes["price"].tolist() == [0.8] * 3
@@ -254,7 +305,7 @@ class TestAuction:
         pool = generate_do_pool(20, (5, 5), np.random.default_rng(0))
 
         def winners(seed):
-            agents = [const_agent("B", 100.0, 0.7), const_agent("A", 100.0, 0.7)]
+            agents = [const_agent("B", 100.0), const_agent("A", 100.0)]
             return winner_names(run_market(agents, pool, np.random.default_rng(seed)))
 
         assert set(winners(0)) == {"A", "B"}
@@ -273,9 +324,10 @@ class TestAuction:
 
 
 class TestMarket:
-    def test_budget_clamping(self):
+    def test_budget_clamping(self, monkeypatch):
         pool = generate_do_pool(3, (10, 10), np.random.default_rng(1))
-        agent = const_agent(budget=1.0, bid=0.6)
+        monkeypatch.setattr(st, "CONST_BID", 0.6)
+        agent = const_agent(budget=1.0)
         result = run_market([agent], pool, np.random.default_rng(0))
         out = result.outcomes
         assert out["price"][out["winner"] == 0].tolist() == [0.6, pytest.approx(0.4)]
@@ -285,7 +337,7 @@ class TestMarket:
 
     def test_termination_when_broke(self):
         pool = generate_do_pool(5, (10, 10), np.random.default_rng(1))
-        result = run_market([const_agent(budget=0.6, bid=0.6)], pool, np.random.default_rng(0))
+        result = run_market([const_agent(budget=st.CONST_BID)], pool, np.random.default_rng(0))
         assert winner_names(result) == ["a"] + [None] * 4
         # no budget left: no bid at all
         assert np.all(np.isnan(result.outcomes["bids"][1:]))
@@ -303,7 +355,7 @@ class TestMarket:
         pool = generate_do_pool(10, (10, 100), np.random.default_rng(2))
 
         def go():
-            agents = [const_agent("a", 2.0, 0.5), rand_agent("b", 2.0)]
+            agents = [const_agent("a", 2.0), rand_agent("b", 2.0)]
             return run_market(agents, pool, np.random.default_rng(7)).outcomes.tobytes()
 
         assert go() == go()
@@ -311,15 +363,16 @@ class TestMarket:
     def test_same_agents_twice(self):
         # the budgets live in the clearing loop, so the agents are not spent
         pool = generate_do_pool(20, (10, 100), np.random.default_rng(2))
-        agents = [const_agent("a", 1.0, 0.5), rand_agent("b", 1.5)]
+        agents = [const_agent("a", 1.0), rand_agent("b", 1.5)]
         first = run_market(agents, pool, np.random.default_rng(7)).outcomes
         second = run_market(agents, pool, np.random.default_rng(7)).outcomes
         assert first.tobytes() == second.tobytes()
         assert np.count_nonzero(first["winner"] >= 0) > 2
 
-    def test_conservation(self):
+    def test_conservation(self, monkeypatch):
         pool = generate_do_pool(20, (10, 100), np.random.default_rng(2))
-        agents = [const_agent(f"a{i}", 3.0, 0.4 + 0.1 * i) for i in range(3)]
+        agents = [const_agent(f"a{i}", 3.0) for i in range(3)]
+        bid_per_agent(monkeypatch, agents, {f"a{i}": 0.4 + 0.1 * i for i in range(3)})
         result = run_market(agents, pool, np.random.default_rng(1))
         out = result.outcomes
         assert len(out) == len(pool)
@@ -331,9 +384,10 @@ class TestMarket:
             won = out["owner_id"][out["winner"] == j].tolist()
             assert metrics[name].total_samples == sum(sizes[i] for i in won)
 
-    def test_budget_safety_prefix(self):
+    def test_budget_safety_prefix(self, monkeypatch):
         pool = generate_do_pool(30, (10, 100), np.random.default_rng(4))
-        agents = [rand_agent("r1", 1.5, 0.8), rand_agent("r2", 0.7, 0.8)]
+        monkeypatch.setattr(st, "RAND_MAX", 0.8)
+        agents = [rand_agent("r1", 1.5), rand_agent("r2", 0.7)]
         result = run_market(agents, pool, np.random.default_rng(3))
         running = [0.0, 0.0]
         for j, price in zip(result.outcomes["winner"].tolist(), result.outcomes["price"].tolist()):
@@ -346,7 +400,7 @@ class TestMarket:
         pool = generate_do_pool(25, (10, 100), np.random.default_rng(seed))
 
         def wins_at(budget):
-            agents = [const_agent("c", budget, 0.5), rand_agent("r", 3.0)]
+            agents = [const_agent("c", budget), rand_agent("r", 3.0)]
             r = run_market(agents, pool, np.random.default_rng(seed + 100))
             return compute_metrics(r)["c"].num_owners_won
 
@@ -369,18 +423,19 @@ class TestReferenceLoop:
     def test_bit_identical_given_row_predict(self, monkeypatch, seed, strategies):
         # with predict taken row by row, only fbc's vectorized pow could differ
         monkeypatch.setattr(est, "predict", lambda theta, Q: np.array([ROW_PREDICT(theta, q) for q in Q]))
-        agents = random_agents(seed, strategies)
+        agents, values = random_agents(seed, strategies)
+        bid_per_agent(monkeypatch, agents, values)
         pool = generate_do_pool(40, (1000, 10000), np.random.default_rng(seed))
-        expected = reference_market(agents, pool, np.random.default_rng(seed))
+        expected = reference_market(agents, pool, np.random.default_rng(seed), values)
         got = run_market(agents, pool, np.random.default_rng(seed)).outcomes
         assert got.tobytes() == expected.tobytes()
 
     def test_reference_markets_reach_ties_and_spent_budgets(self):
         ties = spent = clamped = 0
         for seed in range(8):
-            agents = random_agents(seed, (Strategy.CONST, Strategy.RAND))
+            agents, values = random_agents(seed, (Strategy.CONST, Strategy.RAND))
             pool = generate_do_pool(40, (1000, 10000), np.random.default_rng(seed))
-            out = reference_market(agents, pool, np.random.default_rng(seed))
+            out = reference_market(agents, pool, np.random.default_rng(seed), values)
             bids = out["bids"]
             ties += np.sum(np.sum(bids == out["price"][:, None], axis=1) > 1)
             spent += np.sum(np.isnan(bids))
@@ -394,7 +449,7 @@ class TestReferenceLoop:
 
     def test_tie_on_every_row(self):
         pool = generate_do_pool(1000, (1000, 10000), np.random.default_rng(11))
-        agents = [const_agent("b", 1e6, 0.5), const_agent("a", 1e6, 0.5)]
+        agents = [const_agent("b", 1e6), const_agent("a", 1e6)]
         got = same_as_reference(agents, pool, 11)
         assert set(got["winner"].tolist()) == {0, 1}
 
@@ -405,10 +460,12 @@ class TestReferenceLoop:
         got = same_as_reference(agents, pool, 12)
         assert np.all(np.isnan(got["bids"][100:]))
 
-    def test_infinite_budgets(self):
+    def test_infinite_budgets(self, monkeypatch):
         pool = generate_do_pool(1000, (1000, 10000), np.random.default_rng(13))
-        agents = [rand_agent(f"r{j}", math.inf, 0.5 + 0.1 * j) for j in range(6)]
-        got = same_as_reference(agents, pool, 13)
+        agents = [rand_agent(f"r{j}", math.inf) for j in range(6)]
+        values = {f"r{j}": 0.5 + 0.1 * j for j in range(6)}
+        bid_per_agent(monkeypatch, agents, values)
+        got = same_as_reference(agents, pool, 13, values)
         assert np.all(got["winner"] >= 0)
 
     def test_ties_right_after_a_clamp(self):
@@ -416,7 +473,7 @@ class TestReferenceLoop:
         # first a-b tie, so a tie draw skipped or repeated at that clamp
         # would change the winners after it
         pool = generate_do_pool(200, (1000, 10000), np.random.default_rng(14))
-        agents = [const_agent("c", 1.2, 0.5), const_agent("b", 1e6, 0.5), const_agent("a", 1e6, 0.5)]
+        agents = [const_agent("c", 1.2), const_agent("b", 1e6), const_agent("a", 1e6)]
         got = same_as_reference(agents, pool, 14)
         second_win = np.flatnonzero(got["winner"] == 0)[1]
         assert got["bids"][second_win + 1].tolist() == [pytest.approx(0.2), 0.5, 0.5]
@@ -427,7 +484,7 @@ class TestReferenceLoop:
         # every row before that draws a tie
         pool = generate_do_pool(300, (1000, 10000), np.random.default_rng(15))
         budgets = [0.5 * 300 / 5 * (0.5 + i / 5) for i in range(5)]
-        agents = [const_agent(f"c{i}", b, 0.5) for i, b in enumerate(budgets)]
+        agents = [const_agent(f"c{i}", b) for i, b in enumerate(budgets)]
         tie_rngs, clear = [], market._clear
         monkeypatch.setattr(market, "_clear", lambda *args: tie_rngs.append(args[3]) or clear(*args))
         got = same_as_reference(agents, pool, 15)
@@ -437,10 +494,11 @@ class TestReferenceLoop:
         assert np.all(np.isnan(got["bids"][-1]))
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_six_strategies_within_predict_bound(self, seed):
-        agents = random_agents(seed, tuple(Strategy))
+    def test_six_strategies_within_predict_bound(self, monkeypatch, seed):
+        agents, values = random_agents(seed, tuple(Strategy))
+        bid_per_agent(monkeypatch, agents, values)
         pool = generate_do_pool(40, (1000, 10000), np.random.default_rng(seed))
-        expected = reference_market(agents, pool, np.random.default_rng(seed))
+        expected = reference_market(agents, pool, np.random.default_rng(seed), values)
         got = run_market(agents, pool, np.random.default_rng(seed)).outcomes
         for field in ("owner_id", "num_samples", "winner"):
             np.testing.assert_array_equal(got[field], expected[field])
@@ -455,7 +513,8 @@ class TestReferenceLoop:
             won = expected["winner"] == j
             drift = np.abs(np.cumsum(np.where(won, got["price"] - expected["price"], 0.0)))
             drift = np.concatenate([[0.0], drift[:-1]])
-            tol = max(1.0, agent.params.lin_coef) * s_bound + 8 * eps * np.abs(want) + drift
+            coef = values[agent.name] if agent.strategy is Strategy.LIN else 1.0
+            tol = max(1.0, coef) * s_bound + 8 * eps * np.abs(want) + drift
             live = ~np.isnan(want)
             assert np.all(np.abs(have - want)[live] <= tol[live]), agent.name
         np.testing.assert_allclose(got["price"], expected["price"], rtol=1e-13, atol=0)
@@ -526,7 +585,7 @@ class TestRandomBidHistory:
         for rows in got.reshape(20, 100):
             assert sorted(rows["owner_id"]) == list(pool["id"])
             assert np.array_equal(rows["num_samples"], pool["num_samples"][rows["owner_id"] - 1])
-        assert np.all(got["bids"] > 0) and np.all(got["bids"] <= StrategyParams().rand_max)
+        assert np.all(got["bids"] > 0) and np.all(got["bids"] <= st.RAND_MAX)
         assert np.all(got["winner"] >= 0)
 
     def test_draws_are_one_order_block_then_one_bid_block(self):
@@ -535,7 +594,7 @@ class TestRandomBidHistory:
         got_rng, want_rng = np.random.default_rng(20), np.random.default_rng(20)
         got = random_bid_history(self.NAMES, pool, got_rng, 20)
         order = want_rng.permuted(np.tile(np.arange(100), (20, 1)), axis=1).ravel()
-        bids = st.bid_rand(StrategyParams(), want_rng, 20 * 100 * len(self.NAMES))
+        bids = st.bid_rand(want_rng, 20 * 100 * len(self.NAMES))
         assert np.array_equal(got["owner_id"], pool["id"][order])
         assert got["bids"].tobytes() == bids.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -598,9 +657,10 @@ class TestMetrics:
         assert m.spend == running
         assert type(m.spend) is float and type(m.total_samples) is int
 
-    def test_single_win(self):
+    def test_single_win(self, monkeypatch):
         pool = generate_do_pool(2, (1000, 1000), np.random.default_rng(0))
-        result = run_market([const_agent(budget=2.79, bid=2.79)], pool[:1], np.random.default_rng(0))
+        monkeypatch.setattr(st, "CONST_BID", 2.79)
+        result = run_market([const_agent(budget=2.79)], pool[:1], np.random.default_rng(0))
         m = compute_metrics(result)["a"]
         assert m.num_owners_won == 1
         assert m.unit_price_per_1000 == pytest.approx(2.79)

@@ -8,8 +8,8 @@ from hypothesis import strategies as hs
 
 from flmarket import experiment
 from flmarket import strategies as st
-from flmarket.config import RunConfig
-from flmarket.strategies import LambdaSolution, StrategyParams
+from flmarket.config import RunConfig, default_agent_lineup
+from flmarket.strategies import LambdaSolution
 from flmarket.winmodel import WinForm, WinningFunctionModel
 
 import golden
@@ -26,19 +26,19 @@ def complex_(c):
 
 class TestBaselines:
     def test_const(self):
-        params = StrategyParams(const_bid=0.5)
-        np.testing.assert_array_equal(st.bid_const(params, 5), np.full(5, 0.5))
+        np.testing.assert_array_equal(st.bid_const(5), np.full(5, 0.5))
 
-    def test_rand_range(self, rng):
-        draws = st.bid_rand(StrategyParams(rand_max=0.7), rng, 500)
+    def test_rand_range(self, rng, monkeypatch):
+        monkeypatch.setattr(st, "RAND_MAX", 0.7)
+        draws = st.bid_rand(rng, 500)
         assert draws.shape == (500,)
         assert np.all((draws > 0) & (draws <= 0.7))
 
-    def test_rand_column_equals_scalar_draws(self):
-        params = StrategyParams(rand_max=0.7)
-        column = st.bid_rand(params, np.random.default_rng(9), 300)
+    def test_rand_column_equals_scalar_draws(self, monkeypatch):
+        monkeypatch.setattr(st, "RAND_MAX", 0.7)
+        column = st.bid_rand(np.random.default_rng(9), 300)
         scalar_rng = np.random.default_rng(9)
-        scalars = [params.rand_max - float(scalar_rng.uniform(0.0, params.rand_max)) for _ in range(300)]
+        scalars = [0.7 - float(scalar_rng.uniform(0.0, 0.7)) for _ in range(300)]
         assert column.tolist() == scalars
 
     def test_bmub_zero_utility(self, rng):
@@ -56,8 +56,9 @@ class TestBaselines:
         expected = [x - float(scalar_rng.uniform(0.0, x)) if x > 0 else 0.0 for x in s]
         assert column.tolist() == expected
 
-    def test_lin(self):
-        bids = st.bid_lin(np.array([0.7, 0.0, -0.3]), StrategyParams(lin_coef=2.0))
+    def test_lin(self, monkeypatch):
+        monkeypatch.setattr(st, "LIN_COEF", 2.0)
+        bids = st.bid_lin(np.array([0.7, 0.0, -0.3]))
         assert bids[0] == pytest.approx(1.4)
         assert bids[1:].tolist() == [0.0, 0.0]
 
@@ -387,7 +388,13 @@ class TestRegulaFalsi:
             assert 0 < sol.iterations <= halvings
 
     def test_same_lambda_as_halving_on_the_runs(self, run_solves):
-        assert len(run_solves) == 68  # fbs and fbc in each of 34 runs; const agents solve none
+        # one solve per closed-form agent in each run without FL; const agents solve none
+        closed_forms = sum(
+            spec.strategy in st.WIN_FORM
+            for kwargs in golden.runs().values() if not kwargs.get("train_fl", True)
+            for spec in kwargs.get("agents", default_agent_lineup())
+        )
+        assert closed_forms > 0 and len(run_solves) == closed_forms
         for args in run_solves:
             sol = st.solve_lambda(*args)
             lam, halvings = lambda_by_halving(*args)

@@ -83,26 +83,27 @@ def reference_curve(bids, won, num_buckets):
 
 class TestWinCurve:
     def test_all_won(self):
-        _, rates, _ = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.ones(29, bool), 5)
+        _, rates, _ = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.ones(29, bool))
         assert np.all(rates == 1.0)
 
     def test_all_lost(self):
-        _, rates, _ = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.zeros(29, bool), 5)
+        _, rates, _ = wm.empirical_win_curve(0.1 * np.arange(1, 30), np.zeros(29, bool))
         assert np.all(rates == 0.0)
 
     def test_counts_partition(self, rng):
         mids, _, counts = wm.empirical_win_curve(
-            rng.uniform(0, 2, 200), rng.integers(0, 2, 200) == 1, 10
+            rng.uniform(0, 2, 200), rng.integers(0, 2, 200) == 1
         )
         assert counts.sum() == 200
         assert np.all(np.diff(mids) > 0)
 
     def test_empty_records(self):
         with pytest.raises(wm.InsufficientDataError):
-            wm.empirical_win_curve([], [], 10)
+            wm.empirical_win_curve([], [])
 
     @pytest.mark.parametrize("num_buckets", [2, 7, 20, 64])
-    def test_matches_per_bucket_reference(self, num_buckets, rng):
+    def test_matches_per_bucket_reference(self, num_buckets, rng, monkeypatch):
+        monkeypatch.setattr(wm, "NUM_BUCKETS", num_buckets)
         for _ in range(20):
             n = int(rng.integers(2, 400))
             bids = rng.uniform(0.0, rng.uniform(0.1, 5.0), n)
@@ -113,15 +114,16 @@ class TestWinCurve:
             edges = np.linspace(0.0, bids.max(), num_buckets + 1)
             bids, n = np.concatenate([bids, edges[1:-1]]), n + num_buckets - 1
             won = rng.random(n) < 0.4
-            curve = wm.empirical_win_curve(bids, won, num_buckets)
+            curve = wm.empirical_win_curve(bids, won)
             for got, want in zip(curve, reference_curve(bids, won, num_buckets)):
                 np.testing.assert_array_equal(got, want)
             mids, _, counts = curve
             assert mids[0] > width and counts.sum() == n
             assert counts[-1] >= 2 and mids[-1] > bids.max() - width
 
-    def test_top_bid_in_last_bucket(self):
-        mids, rates, counts = wm.empirical_win_curve([0.1, 1.0], [False, True], 4)
+    def test_top_bid_in_last_bucket(self, monkeypatch):
+        monkeypatch.setattr(wm, "NUM_BUCKETS", 4)
+        mids, rates, counts = wm.empirical_win_curve([0.1, 1.0], [False, True])
         np.testing.assert_array_equal(mids, [0.125, 0.875])
         np.testing.assert_array_equal(rates, [0.0, 1.0])
         np.testing.assert_array_equal(counts, [1, 1])
@@ -136,7 +138,7 @@ def monte_carlo_curve(form, c_star, n, rng):
     model = WinningFunctionModel(form, c_star)
     bids = rng.uniform(0.0, 5.0 * c_star, n)
     wins = rng.random(n) < wm.win_prob(model, bids)
-    return wm.empirical_win_curve(bids, wins, 20)
+    return wm.empirical_win_curve(bids, wins)
 
 
 def calibration_curves():
