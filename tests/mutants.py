@@ -45,6 +45,7 @@ MUTANTS = [
     Mutant("grad_rel_target", "src/flmarket/estimator.py",
            "GRAD_REL_TARGET = 1e-9", "GRAD_REL_TARGET = 1e-7"),
     Mutant("clamp_eps", "src/flmarket/estimator.py", "CLAMP_EPS = 1e-6", "CLAMP_EPS = 2e-6"),
+    Mutant("max_solves", "src/flmarket/estimator.py", "MAX_SOLVES = 200", "MAX_SOLVES = 199"),
     Mutant("no_reserve_winner", "src/flmarket/market.py",
            "won[best == 0] = -1", "won[best < 0] = -1"),
     Mutant("nan_clamp_order", "src/flmarket/market.py", "(x if x < b else b)", "(b if b < x else x)"),
@@ -56,18 +57,23 @@ MUTANTS = [
            "reversed(range(len(names)))"),
     Mutant("history_tie_takes_last", "src/flmarket/market.py", "reverse=True", "reverse=False"),
     Mutant("class_order_reversed", "src/flmarket/fltrain.py", "col += P[k]", "col += P[K - k]"),
+    Mutant("fl_step_size", "src/flmarket/fltrain.py", "LR = 0.05", "LR = 0.04"),
     Mutant("test_set_size", "src/flmarket/experiment.py",
            "synth_dataset(2000,", "synth_dataset(1999,"),
     Mutant("regula_falsi_slow", "src/flmarket/winmodel.py", "slow < 4", "slow < 6"),
     Mutant("digitize_right", "src/flmarket/winmodel.py",
            "np.digitize(bids, edges[1:-1])", "np.digitize(bids, edges[1:-1], right=True)"),
     Mutant("c_min", "src/flmarket/winmodel.py", "C_MIN = 1e-4", "C_MIN = 1e-3"),
+    Mutant("num_buckets", "src/flmarket/winmodel.py", "NUM_BUCKETS = 20", "NUM_BUCKETS = 19"),
     Mutant("slope_sign", "src/flmarket/winmodel.py",
            "return float(2.0 * np.sum(", "return float(-2.0 * np.sum("),
     Mutant("edge_returns_swapped", "src/flmarket/winmodel.py",
            "> 0:\n        return lo, True\n    if (g_hi := slope(hi)) <= 0:\n        return hi, True",
            "> 0:\n        return hi, True\n    if (g_hi := slope(hi)) <= 0:\n        return lo, True"),
     Mutant("edge_flag_dropped", "src/flmarket/winmodel.py", "return lo, True", "return lo, False"),
+    Mutant("const_bid", "src/flmarket/strategies.py", "CONST_BID = 0.5", "CONST_BID = 0.4"),
+    Mutant("rand_max", "src/flmarket/strategies.py", "RAND_MAX = 1.0", "RAND_MAX = 0.9"),
+    Mutant("lin_coef", "src/flmarket/strategies.py", "LIN_COEF = 0.5", "LIN_COEF = 0.4"),
     Mutant("plus_zero", "src/flmarket/winmodel.py",
            "mid_bid = 0.5 * (edges[:-1] + edges[1:])",
            "mid_bid = 0.5 * (edges[:-1] + edges[1:]) + 0.0",
